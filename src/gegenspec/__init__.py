@@ -48,8 +48,6 @@ from .bounds import (
     PoleOnContourError,
     ellipse_points,
     ellipse_axes,
-    interval_distance,
-    perimeter_estimate,
     sup_on_ellipse,
     remainder_exact,
     remainder_bound,
@@ -81,7 +79,7 @@ __all__ = [
     "DiffMatrix", "interpolate", "diff_matrix", "differentiate_at_nodes",
     "expansion_coeffs", "truncated_expansion_error",
     "EllipseSpec", "BoundBreakdown", "PoleOnContourError", "ellipse_points",
-    "ellipse_axes", "interval_distance", "perimeter_estimate", "sup_on_ellipse",
+    "ellipse_axes", "sup_on_ellipse",
     "remainder_exact", "remainder_bound", "e_n_metric", "interp_bound_gauss",
     "diff_bound_gauss", "interp_bound_lobatto", "diff_bound_lobatto",
     "quad_bound", "best_bound_over_rho",

@@ -8,10 +8,12 @@ can show each constant next to the rate term.
 """
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .nodes import GAUSS, GAUSS_LOBATTO
 from .poly import calibrated_sup_scale, normalized_on_ellipse
 from .special import as_param, d_coeff_sequence, h_norm
 
@@ -21,8 +23,6 @@ __all__ = [
     "PoleOnContourError",
     "ellipse_points",
     "ellipse_axes",
-    "interval_distance",
-    "perimeter_estimate",
     "sup_on_ellipse",
     "remainder_exact",
     "remainder_bound",
@@ -32,12 +32,20 @@ __all__ = [
     "interp_bound_lobatto",
     "diff_bound_lobatto",
     "quad_bound",
+    "Theorem",
+    "THEOREMS",
+    "lookup_theorem",
     "best_bound_over_rho",
 ]
 
 FLAG_C_ONE = "c set to 1"
 FLAG_CALIBRATED = "uses calibrated D_lambda"
 FLAG_SKIPPED_RHO = "skipped rho values with non-finite max"
+
+# boundary points per call of u in scan_sups: the rho block is this many
+# points // samples rows (16 rows of 2048), enough to amortize the per-call
+# cost while the block's complex temporaries stay around a megabyte each
+_SCAN_POINTS = 1 << 15
 
 
 class PoleOnContourError(ArithmeticError):
@@ -92,41 +100,28 @@ def ellipse_axes(rho: float) -> tuple[float, float]:
     return 0.5 * (rho + 1.0 / rho), 0.5 * (rho - 1.0 / rho)
 
 
-def interval_distance(rho: float) -> float:
-    """Distance from the ellipse boundary to the interval [-1, 1]."""
-    a, _ = ellipse_axes(rho)
-    return a - 1.0
-
-
-def perimeter_estimate(rho: float) -> float:
-    """Closed-form overestimate pi sqrt(rho^2 + rho^-2) of the perimeter."""
-    if not rho > 1.0:
-        raise ValueError("rho must be > 1")
-    return math.pi * math.sqrt(rho * rho + rho ** -2.0)
+def _unit_samples(samples: int) -> np.ndarray:
+    """e^{i theta_j} at the Fourier angles theta_j = 2 pi j / samples."""
+    theta = 2.0 * np.pi * np.arange(samples) / samples
+    return np.exp(1j * theta)
 
 
 def ellipse_points(spec: EllipseSpec) -> tuple[np.ndarray, np.ndarray]:
     """Boundary samples (w_j, z_j): w_j = rho e^{i theta_j} at the Fourier
     angles theta_j = 2 pi j / samples, z_j = (w_j + 1/w_j)/2."""
-    theta = 2.0 * np.pi * np.arange(spec.samples) / spec.samples
-    w = spec.rho * np.exp(1j * theta)
+    w = spec.rho * _unit_samples(spec.samples)
     return w, 0.5 * (w + 1.0 / w)
 
 
 def sup_on_ellipse(u, spec: EllipseSpec) -> float:
-    """Max of |u| over the sampled ellipse boundary.
+    """Max of |u| over the sampled ellipse boundary: scan_sups at one rho.
 
     Raises PoleOnContourError if any sampled value is non-finite; a pole
     merely near the contour produces a huge finite value instead, which is
     the caller's concern.
     """
-    _, z = ellipse_points(spec)
-    vals = np.abs(np.asarray(u(z)))
-    if not np.all(np.isfinite(vals)):
-        raise PoleOnContourError(
-            f"non-finite value on the rho={spec.rho} boundary sample"
-        )
-    return float(np.max(vals))
+    sups, _ = scan_sups(u, [spec.rho], spec.samples)
+    return float(sups[0])
 
 
 def remainder_exact(param, n: int, rho: float, rtol: float = 1e-17) -> float:
@@ -282,9 +277,15 @@ def e_n_metric(param, n: int, spec: EllipseSpec) -> float:
     return float(disc / a_norm)
 
 
-def _rate(power: float, n: int, rho: float) -> float:
+# The interp/diff bounds below are elementwise in rho and M_rho.  Each is
+# written once as a factor function (lam, n, rho, m_rho) -> (theorem id,
+# flags, constant, rate) on numpy arrays, so the same expression gives the
+# single-rho BoundBreakdown and the whole rho grid of minimize_bound_on_grid.
+
+
+def _rate(power: float, n: int, rho):
     """n^power / rho^n evaluated in log space."""
-    return math.exp(power * math.log(n) - n * math.log(rho))
+    return np.exp(power * math.log(n) - n * np.log(rho))
 
 
 def _check_bound_args(n: int, rho: float, m_rho: float):
@@ -296,36 +297,16 @@ def _check_bound_args(n: int, rho: float, m_rho: float):
         raise ValueError("M_rho must be >= 0")
 
 
-def interp_bound_gauss(param, n: int, rho: float, m_rho: float) -> BoundBreakdown:
-    """Max-norm interpolation error bound on the Gauss nodes.
+def _breakdown(factors, param, n: int, rho: float, m_rho: float) -> BoundBreakdown:
+    """Evaluate factors at one (rho, M_rho).
 
-    lam > 0 branch decays like n^lam / rho^n; the -1/2 < lam < 0 branch has
-    no algebraic factor and uses the calibrated sup-norm constant.
+    rho goes in as a one-element array so the arithmetic runs through the
+    same numpy loops as a grid scan, and the two agree bit for bit.
     """
-    p = as_param(param)
-    lam = p.lam
+    lam = as_param(param).lam
     _check_bound_args(n, rho, m_rho)
-    common = m_rho * math.sqrt(rho * rho + rho ** -2.0) / (rho - 1.0) ** 2
-    flags = [FLAG_C_ONE]
-    if lam > 0:
-        const = (
-            math.exp(math.lgamma(lam) - math.lgamma(2.0 * lam))
-            * common
-            * (1.0 + rho ** -2.0) ** lam
-        )
-        rate = _rate(lam, n, rho)
-        theorem_id = "T41i"
-    else:
-        d_lam = calibrated_sup_scale(lam)
-        const = (
-            d_lam
-            * math.exp(math.lgamma(lam))
-            * common
-            * (1.0 - rho ** -2.0) ** lam
-        )
-        rate = _rate(0.0, n, rho)
-        theorem_id = "T41ii"
-        flags.append(FLAG_CALIBRATED)
+    theorem_id, flags, const, rate = factors(lam, n, np.array([rho], float), m_rho)
+    const, rate = float(const[0]), float(rate[0])
     return BoundBreakdown(
         theorem_id=theorem_id,
         constant_factor=const,
@@ -336,90 +317,156 @@ def interp_bound_gauss(param, n: int, rho: float, m_rho: float) -> BoundBreakdow
     )
 
 
-def diff_bound_gauss(param, n: int, rho: float, m_rho: float) -> BoundBreakdown:
-    """Max node-differencing error bound on the Gauss nodes: Lambda n^(lam+2)/rho^n."""
-    p = as_param(param)
-    lam = p.lam
-    _check_bound_args(n, rho, m_rho)
+def _gauss_interp(lam, n, rho, m_rho):
+    common = m_rho * np.sqrt(rho * rho + rho ** -2.0) / (rho - 1.0) ** 2
+    if lam > 0:
+        const = (
+            math.exp(math.lgamma(lam) - math.lgamma(2.0 * lam))
+            * common
+            * (1.0 + rho ** -2.0) ** lam
+        )
+        return "T41i", [FLAG_C_ONE], const, _rate(lam, n, rho)
+    const = (
+        calibrated_sup_scale(lam)
+        * math.exp(math.lgamma(lam))
+        * common
+        * (1.0 - rho ** -2.0) ** lam
+    )
+    return "T41ii", [FLAG_C_ONE, FLAG_CALIBRATED], const, _rate(0.0, n, rho)
+
+
+def _gauss_diff(lam, n, rho, m_rho):
     branch = (1.0 + rho ** -2.0) ** lam if lam > 0 else (1.0 - rho ** -2.0) ** lam
     const = (
         2.0
         * math.exp(math.lgamma(lam + 1.0) - math.lgamma(2.0 * lam + 2.0))
         * m_rho
-        * math.sqrt(rho * rho + rho ** -2.0)
+        * np.sqrt(rho * rho + rho ** -2.0)
         * branch
         / (rho - 1.0) ** 2
     )
-    rate = _rate(lam + 2.0, n, rho)
-    return BoundBreakdown(
-        theorem_id="T42",
-        constant_factor=const,
-        rate_factor=rate,
-        total=const * rate,
-        parameters={"lambda": lam, "n": n, "rho": rho, "M_rho": m_rho},
-        flags=[FLAG_C_ONE],
-    )
+    return "T42", [FLAG_C_ONE], const, _rate(lam + 2.0, n, rho)
 
 
-def _lobatto_common(lam: float, rho: float, m_rho: float) -> float:
+def _lobatto_common(lam, rho, m_rho):
     return (
         m_rho
-        * math.sqrt(rho * rho + rho ** -2.0)
+        * np.sqrt(rho * rho + rho ** -2.0)
         * (1.0 + rho ** -2.0) ** (lam + 1.0)
         / ((1.0 - 1.0 / rho) ** 2 * (rho - 1.0 / rho) ** 2)
     )
 
 
-def interp_bound_lobatto(param, n: int, rho: float, m_rho: float) -> BoundBreakdown:
-    """Max-norm interpolation error bound on the Lobatto nodes: rate n^(lam+1)/rho^n."""
-    p = as_param(param)
-    lam = p.lam
-    _check_bound_args(n, rho, m_rho)
+def _lobatto_interp(lam, n, rho, m_rho):
     const = (
         4.0
         * _lobatto_common(lam, rho, m_rho)
         * math.exp(math.lgamma(lam + 1.0) - math.lgamma(2.0 * lam + 2.0))
     )
-    rate = _rate(lam + 1.0, n, rho)
-    return BoundBreakdown(
-        theorem_id="T43a",
-        constant_factor=const,
-        rate_factor=rate,
-        total=const * rate,
-        parameters={"lambda": lam, "n": n, "rho": rho, "M_rho": m_rho},
-        flags=[FLAG_C_ONE],
-    )
+    return "T43a", [FLAG_C_ONE], const, _rate(lam + 1.0, n, rho)
 
 
-def diff_bound_lobatto(param, n: int, rho: float, m_rho: float) -> BoundBreakdown:
-    """Max node-differencing error bound on the Lobatto nodes: rate n^(lam+3)/rho^n."""
-    p = as_param(param)
-    lam = p.lam
-    _check_bound_args(n, rho, m_rho)
+def _lobatto_diff(lam, n, rho, m_rho):
     const = (
         8.0
         * _lobatto_common(lam, rho, m_rho)
         * math.exp(math.lgamma(lam + 2.0) - math.lgamma(2.0 * lam + 4.0))
     )
-    rate = _rate(lam + 3.0, n, rho)
-    return BoundBreakdown(
-        theorem_id="T43b",
-        constant_factor=const,
-        rate_factor=rate,
-        total=const * rate,
-        parameters={"lambda": lam, "n": n, "rho": rho, "M_rho": m_rho},
-        flags=[FLAG_C_ONE],
-    )
+    return "T43b", [FLAG_C_ONE], const, _rate(lam + 3.0, n, rho)
+
+
+def interp_bound_gauss(param, n: int, rho: float, m_rho: float) -> BoundBreakdown:
+    """Max-norm interpolation error bound on the Gauss nodes.
+
+    lam > 0 branch decays like n^lam / rho^n; the -1/2 < lam < 0 branch has
+    no algebraic factor and uses the calibrated sup-norm constant.
+    """
+    return _breakdown(_gauss_interp, param, n, rho, m_rho)
+
+
+def diff_bound_gauss(param, n: int, rho: float, m_rho: float) -> BoundBreakdown:
+    """Max node-differencing error bound on the Gauss nodes: Lambda n^(lam+2)/rho^n."""
+    return _breakdown(_gauss_diff, param, n, rho, m_rho)
+
+
+def interp_bound_lobatto(param, n: int, rho: float, m_rho: float) -> BoundBreakdown:
+    """Max-norm interpolation error bound on the Lobatto nodes: rate n^(lam+1)/rho^n."""
+    return _breakdown(_lobatto_interp, param, n, rho, m_rho)
+
+
+def diff_bound_lobatto(param, n: int, rho: float, m_rho: float) -> BoundBreakdown:
+    """Max node-differencing error bound on the Lobatto nodes: rate n^(lam+3)/rho^n."""
+    return _breakdown(_lobatto_diff, param, n, rho, m_rho)
+
+
+def _any_lambda(lam: float) -> bool:
+    return True
+
+
+@dataclass(frozen=True)
+class Theorem:
+    """One theorem ID of the registry.
+
+    bound is the single-rho function returning a BoundBreakdown; factors is
+    its elementwise (lam, n, rho, m_rho) form used for rho scans, None for
+    the remainder bounds, which take no M_rho.  lam_ok(lam) is the lambda
+    domain and lam_text the error naming it; family is the node family of
+    the operator bounds (None for the remainder).
+    """
+
+    bound: Callable
+    factors: Callable | None
+    kind: str
+    family: str | None
+    lam_ok: Callable = _any_lambda
+    lam_text: str = ""
+
+
+THEOREMS = {
+    "T31i": Theorem(
+        remainder_bound, None, "remainder", None, lambda lam: lam > 1.0,
+        "the T31i branch requires lambda > 1 (its admissibility condition "
+        f"{_M_CONDITION_TEXT} only arises there)",
+    ),
+    "T31ii": Theorem(
+        remainder_bound, None, "remainder", None, lambda lam: -0.5 < lam < 1.0,
+        "the T31ii branch requires -1/2 < lambda < 1",
+    ),
+    "T41": Theorem(interp_bound_gauss, _gauss_interp, "interp", GAUSS),
+    "T41i": Theorem(
+        interp_bound_gauss, _gauss_interp, "interp", GAUSS, lambda lam: lam > 0.0,
+        "T41i requires lambda > 0",
+    ),
+    "T41ii": Theorem(
+        interp_bound_gauss, _gauss_interp, "interp", GAUSS, lambda lam: lam < 0.0,
+        "T41ii requires -1/2 < lambda < 0",
+    ),
+    "T42": Theorem(diff_bound_gauss, _gauss_diff, "diff", GAUSS),
+    "T43a": Theorem(interp_bound_lobatto, _lobatto_interp, "interp", GAUSS_LOBATTO),
+    "T43b": Theorem(diff_bound_lobatto, _lobatto_diff, "diff", GAUSS_LOBATTO),
+}
+
+
+def lookup_theorem(theorem_id: str, lam: float) -> Theorem:
+    """The registry entry of theorem_id; ValueError if the id is unknown or
+    lam lies outside its lambda domain."""
+    if theorem_id not in THEOREMS:
+        raise ValueError(f"unknown theorem id {theorem_id!r}")
+    theorem = THEOREMS[theorem_id]
+    if not theorem.lam_ok(lam):
+        raise ValueError(theorem.lam_text)
+    return theorem
 
 
 def quad_bound(param, interp_breakdown: BoundBreakdown) -> BoundBreakdown:
     """Weighted-integral error bound: total mass factor h_0 times an
     interpolation bound (Gauss or Lobatto)."""
     p = as_param(param)
-    if interp_breakdown.theorem_id not in ("T41i", "T41ii", "T43a"):
+    interp_ids = [tid for tid, t in THEOREMS.items() if t.kind == "interp"]
+    if interp_breakdown.theorem_id not in interp_ids:
         raise ValueError(
             "quad_bound needs an interpolation breakdown "
-            f"(T41i/T41ii/T43a), got {interp_breakdown.theorem_id}"
+            f"({'/'.join(interp_ids)}), got {interp_breakdown.theorem_id}"
         )
     h0 = h_norm(p, 0)
     params = dict(interp_breakdown.parameters)
@@ -432,16 +479,6 @@ def quad_bound(param, interp_breakdown: BoundBreakdown) -> BoundBreakdown:
         parameters=params,
         flags=list(interp_breakdown.flags),
     )
-
-
-_BOUND_DISPATCH = {
-    "T41": interp_bound_gauss,
-    "T41i": interp_bound_gauss,
-    "T41ii": interp_bound_gauss,
-    "T42": diff_bound_gauss,
-    "T43a": interp_bound_lobatto,
-    "T43b": diff_bound_lobatto,
-}
 
 
 def rho_scan_grid(rho_min: float, rho_max: float, count: int) -> np.ndarray:
@@ -462,17 +499,26 @@ def rho_scan_grid(rho_min: float, rho_max: float, count: int) -> np.ndarray:
 def scan_sups(u, rhos, samples: int = 2048):
     """Boundary sups of |u| for each rho; non-finite entries become NaN.
 
+    u is called on blocks of several ellipses at once, raveled to 1-D.
     Returns (sups, any_skipped).  The sups depend on u and rho only, so
-    callers scanning many degrees should compute them once.
+    callers scanning many degrees should compute them once.  Raises
+    PoleOnContourError when every rho has a non-finite sample.
     """
+    rhos = np.asarray(rhos, dtype=float)
+    if not np.all(rhos > 1.0):
+        raise ValueError("rho must be > 1")
+    if samples < 4:
+        raise ValueError("samples must be >= 4")
+    unit = _unit_samples(samples)
+    rows = max(1, _SCAN_POINTS // samples)
     sups = np.empty(len(rhos))
-    skipped = False
-    for i, rho in enumerate(rhos):
-        try:
-            sups[i] = sup_on_ellipse(u, EllipseSpec(float(rho), samples))
-        except PoleOnContourError:
-            sups[i] = np.nan
-            skipped = True
+    for start in range(0, len(rhos), rows):
+        w = rhos[start:start + rows, None] * unit
+        z = (0.5 * (w + 1.0 / w)).ravel()
+        vals = np.abs(np.broadcast_to(u(z), z.shape)).reshape(w.shape)
+        finite = np.all(np.isfinite(vals), axis=1)
+        sups[start:start + rows] = np.where(finite, np.max(vals, axis=1), np.nan)
+    skipped = bool(np.any(np.isnan(sups)))
     if skipped and np.all(np.isnan(sups)):
         raise PoleOnContourError("every scanned rho had a non-finite boundary max")
     return sups, skipped
@@ -481,36 +527,28 @@ def scan_sups(u, rhos, samples: int = 2048):
 def minimize_bound_on_grid(
     param, n: int, which: str, rhos, sups, skipped: bool = False
 ) -> tuple[float, BoundBreakdown]:
-    """Pick the rho from the precomputed (rhos, sups) grid minimizing a bound."""
+    """Pick the rho from the precomputed (rhos, sups) grid minimizing a bound.
+
+    The bound is evaluated on the whole grid at once, non-finite sups count
+    as +inf, and the first minimum wins; the returned breakdown is the
+    single-rho bound at that rho.
+    """
     p = as_param(param)
-    if which not in _BOUND_DISPATCH:
-        raise ValueError(f"unknown bound id {which!r}")
-    if which == "T41i" and p.lam < 0:
-        raise ValueError("the n^lam branch requires lambda > 0")
-    if which == "T41ii" and p.lam > 0:
-        raise ValueError("the calibrated branch requires -1/2 < lambda < 0")
-    fn = _BOUND_DISPATCH[which]
-    best = None
-    best_rho = None
-    for rho, m_rho in zip(rhos, sups):
-        if not math.isfinite(m_rho):
-            continue
-        bd = fn(p, n, float(rho), float(m_rho))
-        if best is None or bd.total < best.total:
-            best, best_rho = bd, float(rho)
-    if best is None:
+    theorem = lookup_theorem(which, p.lam)
+    if theorem.factors is None:
+        raise ValueError(f"{which} takes no M_rho, so it has no rho scan")
+    rhos = np.asarray(rhos, dtype=float)
+    sups = np.asarray(sups, dtype=float)
+    finite = np.isfinite(sups)
+    if not np.any(finite):
         raise PoleOnContourError("every scanned rho had a non-finite boundary max")
+    _check_bound_args(n, float(np.min(rhos[finite])), float(np.min(sups[finite])))
+    _, _, const, rate = theorem.factors(p.lam, n, rhos, sups)
+    i = int(np.argmin(np.where(finite, const * rate, np.inf)))
+    best = theorem.bound(p, n, float(rhos[i]), float(sups[i]))
     if skipped:
-        best = BoundBreakdown(
-            theorem_id=best.theorem_id,
-            constant_factor=best.constant_factor,
-            rate_factor=best.rate_factor,
-            total=best.total,
-            parameters=best.parameters,
-            flags=list(best.flags) + [FLAG_SKIPPED_RHO],
-            terms=best.terms,
-        )
-    return best_rho, best
+        best = replace(best, flags=best.flags + [FLAG_SKIPPED_RHO])
+    return float(rhos[i]), best
 
 
 def best_bound_over_rho(
@@ -525,8 +563,8 @@ def best_bound_over_rho(
 ) -> tuple[float, BoundBreakdown]:
     """Scan rho over the open interval and return the minimizing bound.
 
-    The sup of |u| is recomputed for every rho via sup_on_ellipse; any rho
-    where it is non-finite is skipped and the result flagged.
+    The sup of |u| is sampled once per rho by scan_sups; any rho where it is
+    non-finite is skipped and the result flagged.
     """
     rhos = rho_scan_grid(rho_min, rho_max, count)
     sups, skipped = scan_sups(u, rhos, samples)

@@ -8,6 +8,7 @@ import argparse
 import json
 import sys
 
+from .bounds import THEOREMS
 from .experiments import (
     DECAY_HEADER,
     DOMINANCE_SLACK,
@@ -67,9 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--rho", type=float, required=True)
     b.add_argument("--m-rho", type=float, default=1.0,
                    help="sup of |u| on the ellipse boundary (default 1)")
-    b.add_argument("--theorem", required=True,
-                   choices=("T31i", "T31ii", "T41", "T41i", "T41ii",
-                            "T42", "T43a", "T43b"))
+    b.add_argument("--theorem", required=True, choices=tuple(THEOREMS))
     b.add_argument("--m", default="auto",
                    help="tail split index for T31 bounds (default auto)")
     b.add_argument("--out")

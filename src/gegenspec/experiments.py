@@ -17,8 +17,10 @@ import numpy as np
 
 from . import highprec
 from .bounds import (
+    THEOREMS,
     EllipseSpec,
     e_n_metric,
+    lookup_theorem,
     minimize_bound_on_grid,
     rho_scan_grid,
     scan_sups,
@@ -376,7 +378,10 @@ def run_fig3(config: ExperimentConfig, families=(GAUSS, GAUSS_LOBATTO),
     summary = {"series": [], "dominance_ok": True, "slope_target": SLOPE_TARGET}
     for lam in config.lambda_list:
         for family in families:
-            which = "T42" if family == GAUSS else "T43b"
+            which = next(
+                tid for tid, t in THEOREMS.items()
+                if t.kind == "diff" and t.family == family
+            )
             errs = []
             for n in config.n_list:
                 measured, backend = measure_diff_error(lam, n, family, fn)
@@ -417,35 +422,14 @@ def run_fig3(config: ExperimentConfig, families=(GAUSS, GAUSS_LOBATTO),
 
 def run_bounds(param, n, rho, m_rho, theorem_id, m="auto"):
     """A single itemized bound as a JSON-ready dict."""
-    from . import bounds as _b
-
     p = as_param(param)
-    if theorem_id in ("T31i", "T31ii"):
-        lam = p.lam
-        if theorem_id == "T31i" and not lam > 1.0:
-            raise ConfigError(
-                "the T31i branch requires lambda > 1 (its admissibility "
-                f"condition {_b._M_CONDITION_TEXT} only arises there)"
-            )
-        if theorem_id == "T31ii" and not (-0.5 < lam < 1.0):
-            raise ConfigError("the T31ii branch requires -1/2 < lambda < 1")
-        return _b.remainder_bound(p, n, rho, m).as_dict()
-    dispatch = {
-        "T41i": _b.interp_bound_gauss,
-        "T41ii": _b.interp_bound_gauss,
-        "T41": _b.interp_bound_gauss,
-        "T42": _b.diff_bound_gauss,
-        "T43a": _b.interp_bound_lobatto,
-        "T43b": _b.diff_bound_lobatto,
-    }
-    if theorem_id not in dispatch:
-        raise ConfigError(f"unknown theorem id {theorem_id!r}")
-    if theorem_id == "T41i" and p.lam < 0:
-        raise ConfigError("T41i requires lambda > 0")
-    if theorem_id == "T41ii" and p.lam > 0:
-        raise ConfigError("T41ii requires -1/2 < lambda < 0")
-    bd = dispatch[theorem_id](p, n, rho, m_rho)
-    return bd.as_dict()
+    try:
+        theorem = lookup_theorem(theorem_id, p.lam)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if theorem.kind == "remainder":
+        return theorem.bound(p, n, rho, m).as_dict()
+    return theorem.bound(p, n, rho, m_rho).as_dict()
 
 
 def run_expansion_decay(param, function_id, n_list, grid_size=2001,

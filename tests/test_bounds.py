@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ellipe
 
 from gegenspec.bounds import (
+    THEOREMS,
     BoundBreakdown,
     EllipseSpec,
     PoleOnContourError,
@@ -16,13 +16,15 @@ from gegenspec.bounds import (
     ellipse_points,
     interp_bound_gauss,
     interp_bound_lobatto,
-    interval_distance,
-    perimeter_estimate,
+    minimize_bound_on_grid,
     quad_bound,
     remainder_bound,
     remainder_exact,
+    rho_scan_grid,
+    scan_sups,
     sup_on_ellipse,
 )
+from gegenspec.experiments import make_rational
 from gegenspec.poly import normalized_on_ellipse
 
 RUNGE = lambda z: 1.0 / (1.0 + z * z)
@@ -62,16 +64,6 @@ class TestEllipseGeometry:
         for rho in (1.05, 1.4, 3.0):
             a, b = ellipse_axes(rho)
             assert a * a - b * b == pytest.approx(1.0, rel=1e-13)
-
-    def test_perimeter_overestimate_within_12_percent(self):
-        for rho in (1.1, 1.5, 2.5, 5.0):
-            a, b = ellipse_axes(rho)
-            perim = 4.0 * a * ellipe(1.0 - (b / a) ** 2)
-            est = perimeter_estimate(rho)
-            assert perim <= est <= 1.12 * perim
-
-    def test_interval_distance(self):
-        assert interval_distance(2.0) == pytest.approx(0.25, rel=1e-14)
 
 
 class TestSupOnEllipse:
@@ -350,6 +342,126 @@ class TestBestBoundOverRho:
             )
         assert "skipped rho values with non-finite max" in bd.flags
         assert rho_star != float(rhos[120])
+
+
+def _oracle_minimize(lam, n, which, rhos, sups):
+    """Brute-force reference for minimize_bound_on_grid: one single-rho bound
+    per finite sup, and a strict < so the first minimum wins."""
+    bound = THEOREMS[which].bound
+    best = best_rho = None
+    for rho, m_rho in zip(rhos, sups):
+        if not math.isfinite(m_rho):
+            continue
+        bd = bound(lam, n, float(rho), float(m_rho))
+        if best is None or bd.total < best.total:
+            best, best_rho = bd, float(rho)
+    return best_rho, best
+
+
+def _runge1_grid():
+    rhos = rho_scan_grid(1.0, RHO_SUP, 2000)
+    return rhos, *scan_sups(RUNGE, rhos, 2048)
+
+
+def _rational_grid():
+    fn = make_rational(0.07)
+    rhos = rho_scan_grid(1.0, min(RHO_SUP, fn.rho_sup), 2000)
+    return rhos, *scan_sups(fn.u, rhos, 2048)
+
+
+def _runge1_nan_grid():
+    rhos, sups, _ = _runge1_grid()
+    sups = sups.copy()
+    sups[::7] = np.nan
+    # also knock out the minimizer of every theorem so the masking decides
+    for which, lam in GRID_CASES:
+        for n in (8, 64):
+            i = int(np.argmin([
+                THEOREMS[which].bound(lam, n, float(r), float(s)).total
+                if math.isfinite(s) else np.inf
+                for r, s in zip(rhos, sups)
+            ]))
+            sups[i] = np.nan
+    return rhos, sups, True
+
+
+GRID_CASES = [("T41i", lam) for lam in (0.5, 1.5, 3.2)] + [("T41ii", -0.3)] + [
+    (which, lam)
+    for which in ("T42", "T43a", "T43b")
+    for lam in (-0.3, 0.5, 1.5, 3.2)
+]
+GRIDS = {
+    "runge1": _runge1_grid,
+    "rational-0.07": _rational_grid,
+    "runge1-nan-rows": _runge1_nan_grid,
+}
+
+
+@pytest.fixture(scope="module", params=sorted(GRIDS))
+def scanned_grid(request):
+    return request.param, GRIDS[request.param]()
+
+
+class TestGridMinimizationOracle:
+    @pytest.mark.parametrize("n", (8, 64))
+    @pytest.mark.parametrize("which,lam", GRID_CASES)
+    def test_matches_scalar_loop(self, scanned_grid, which, lam, n):
+        name, (rhos, sups, skipped) = scanned_grid
+        assert skipped == (name == "runge1-nan-rows")
+        rho_star, bd = minimize_bound_on_grid(lam, n, which, rhos, sups, skipped)
+        oracle_rho, oracle = _oracle_minimize(lam, n, which, rhos, sups)
+        assert rho_star == oracle_rho
+        assert bd.total == pytest.approx(oracle.total, rel=1e-14, abs=0.0)
+        assert bd.theorem_id == oracle.theorem_id
+        assert bd.parameters == oracle.parameters
+        assert ("skipped rho values with non-finite max" in bd.flags) == skipped
+
+    def test_remainder_ids_have_no_scan(self):
+        rhos, sups, _ = _rational_grid()
+        with pytest.raises(ValueError):
+            minimize_bound_on_grid(0.5, 10, "T31ii", rhos, sups)
+
+    def test_all_nan_sups_rejected(self):
+        rhos = rho_scan_grid(1.0, 2.0, 10)
+        with pytest.raises(PoleOnContourError):
+            minimize_bound_on_grid(0.5, 10, "T42", rhos, np.full(10, np.nan), True)
+
+
+class TestScanSups:
+    @pytest.mark.parametrize("samples", (2048, 100, 3 * 2 ** 14))
+    def test_matches_per_rho_sup(self, samples):
+        # 37 rhos is not a multiple of any block size the scan picks
+        rhos = rho_scan_grid(1.0, 2.3, 37)
+        if samples > 2048:
+            rhos = rhos[:3]
+        sups, skipped = scan_sups(RUNGE, rhos, samples)
+        assert not skipped
+        for rho, got in zip(rhos, sups):
+            spec = EllipseSpec(float(rho), samples)
+            _, z = ellipse_points(spec)
+            assert got == np.max(np.abs(RUNGE(z)))
+            assert got == sup_on_ellipse(RUNGE, spec)
+
+    def test_pole_on_sampled_contour_gives_nan(self):
+        rhos = rho_scan_grid(1.0, 3.0, 40)
+        _, z = ellipse_points(EllipseSpec(float(rhos[25]), 8))
+        pole = complex(z[0])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sups, skipped = scan_sups(lambda zz: 1.0 / (zz - pole), rhos, 8)
+        assert skipped
+        assert np.isnan(sups[25])
+        assert np.all(np.isfinite(np.delete(sups, 25)))
+
+    def test_all_nan_raises(self):
+        rhos = rho_scan_grid(1.0, 2.0, 20)
+        with pytest.raises(PoleOnContourError):
+            scan_sups(lambda z: np.full(z.shape, np.nan), rhos, 16)
+
+    def test_invalid_arguments(self):
+        with pytest.raises(ValueError):
+            scan_sups(RUNGE, [1.5, 1.0], 16)
+        with pytest.raises(ValueError):
+            scan_sups(RUNGE, [1.5], 3)
 
 
 class TestBreakdownSerialization:

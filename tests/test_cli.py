@@ -4,6 +4,7 @@ import math
 import pytest
 
 from gegenspec import cli
+from gegenspec.bounds import THEOREMS
 
 
 def run_cli(argv):
@@ -80,6 +81,36 @@ class TestBoundsCommand:
                         "--theorem", "T31i"])
         assert code == 2
         assert "admissibility" in capsys.readouterr().err
+
+    # lambda-domain messages of the restricted ids, as the CLI printed them
+    # before the registry existed
+    DOMAIN_ERRORS = {
+        "T31i": "error: the T31i branch requires lambda > 1 (its admissibility "
+                "condition m + 2 >= (lambda - 1) (1/(2 ln rho) - 1) only arises there)\n",
+        "T31ii": "error: the T31ii branch requires -1/2 < lambda < 1\n",
+        "T41i": "error: T41i requires lambda > 0\n",
+        "T41ii": "error: T41ii requires -1/2 < lambda < 0\n",
+    }
+
+    @pytest.mark.parametrize("theorem_id", list(THEOREMS))
+    def test_every_registry_id(self, theorem_id, capsys):
+        theorem = THEOREMS[theorem_id]
+        lams = (-0.3, 0.5, 3.2)
+        args = ["--n", "10", "--rho", "1.5", "--theorem", theorem_id]
+        inside = [lam for lam in lams if theorem.lam_ok(lam)]
+        outside = [lam for lam in lams if not theorem.lam_ok(lam)]
+        assert inside
+        for lam in inside:
+            code = run_cli(["bounds", "--lambda", str(lam)] + args)
+            out = json.loads(capsys.readouterr().out)
+            assert code == 0
+            assert out["theorem_id"].startswith(theorem_id)
+            assert math.isfinite(out["total"]) and out["total"] > 0
+        assert bool(outside) == (theorem_id in self.DOMAIN_ERRORS)
+        for lam in outside:
+            code = run_cli(["bounds", "--lambda", str(lam)] + args)
+            assert code == 2
+            assert capsys.readouterr().err == self.DOMAIN_ERRORS[theorem_id]
 
     def test_remainder_bound_with_m(self, capsys):
         code = run_cli(["bounds", "--lambda", "0.5", "--n", "10", "--rho", "1.5",
