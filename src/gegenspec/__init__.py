@@ -7,12 +7,8 @@ re-exported here.
 
 from .special import (
     GegenbauerParam,
-    ln_gamma,
-    g_coeff,
     g_coeff_sequence,
-    d_coeff,
     d_coeff_sequence,
-    upper_incomplete_gamma_int,
     h_norm,
     total_mass,
 )
@@ -23,7 +19,6 @@ from .poly import (
     eval_w_series,
     normalized_on_ellipse,
     value_at_one,
-    max_abs_bound,
 )
 from .nodes import (
     GAUSS,
@@ -47,8 +42,6 @@ from .bounds import (
     BoundBreakdown,
     PoleOnContourError,
     ellipse_points,
-    ellipse_axes,
-    sup_on_ellipse,
     remainder_exact,
     remainder_bound,
     e_n_metric,
@@ -70,16 +63,15 @@ from .experiments import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "GegenbauerParam", "ln_gamma", "g_coeff", "g_coeff_sequence", "d_coeff",
-    "d_coeff_sequence", "upper_incomplete_gamma_int", "h_norm", "total_mass",
+    "GegenbauerParam", "g_coeff_sequence", "d_coeff_sequence", "h_norm",
+    "total_mass",
     "eval_recurrence", "recurrence_table", "eval_derivative", "eval_w_series",
-    "normalized_on_ellipse", "value_at_one", "max_abs_bound",
+    "normalized_on_ellipse", "value_at_one",
     "GAUSS", "GAUSS_LOBATTO", "NodeSet", "gauss_nodes", "gauss_lobatto_nodes",
     "quad_weights_interpolatory", "barycentric_weights",
     "DiffMatrix", "interpolate", "diff_matrix", "differentiate_at_nodes",
     "expansion_coeffs", "truncated_expansion_error",
     "EllipseSpec", "BoundBreakdown", "PoleOnContourError", "ellipse_points",
-    "ellipse_axes", "sup_on_ellipse",
     "remainder_exact", "remainder_bound", "e_n_metric", "interp_bound_gauss",
     "diff_bound_gauss", "interp_bound_lobatto", "diff_bound_lobatto",
     "quad_bound", "best_bound_over_rho",

@@ -22,8 +22,6 @@ __all__ = [
     "BoundBreakdown",
     "PoleOnContourError",
     "ellipse_points",
-    "ellipse_axes",
-    "sup_on_ellipse",
     "remainder_exact",
     "remainder_bound",
     "e_n_metric",
@@ -46,6 +44,10 @@ FLAG_SKIPPED_RHO = "skipped rho values with non-finite max"
 # points // samples rows (16 rows of 2048), enough to amortize the per-call
 # cost while the block's complex temporaries stay around a megabyte each
 _SCAN_POINTS = 1 << 15
+
+# remainder_exact stops its infinite tail once a term drops below this
+# fraction of the accumulated sum
+_TAIL_RTOL = 1e-17
 
 
 class PoleOnContourError(ArithmeticError):
@@ -93,13 +95,6 @@ class BoundBreakdown:
         return d
 
 
-def ellipse_axes(rho: float) -> tuple[float, float]:
-    """Major and minor semi-axes ((rho + 1/rho)/2, (rho - 1/rho)/2); foci +-1."""
-    if not rho > 1.0:
-        raise ValueError("rho must be > 1")
-    return 0.5 * (rho + 1.0 / rho), 0.5 * (rho - 1.0 / rho)
-
-
 def _unit_samples(samples: int) -> np.ndarray:
     """e^{i theta_j} at the Fourier angles theta_j = 2 pi j / samples."""
     theta = 2.0 * np.pi * np.arange(samples) / samples
@@ -113,23 +108,12 @@ def ellipse_points(spec: EllipseSpec) -> tuple[np.ndarray, np.ndarray]:
     return w, 0.5 * (w + 1.0 / w)
 
 
-def sup_on_ellipse(u, spec: EllipseSpec) -> float:
-    """Max of |u| over the sampled ellipse boundary: scan_sups at one rho.
-
-    Raises PoleOnContourError if any sampled value is non-finite; a pole
-    merely near the contour produces a huge finite value instead, which is
-    the caller's concern.
-    """
-    sups, _ = scan_sups(u, [spec.rho], spec.samples)
-    return float(sups[0])
-
-
-def remainder_exact(param, n: int, rho: float, rtol: float = 1e-17) -> float:
+def remainder_exact(param, n: int, rho: float) -> float:
     """Exact boundary remainder: sum_{k=1..n} |d_{n,k}| |g_k| rho^{-2k} plus
     the tail sum_{k>n} |g_k| rho^{-2k}.
 
     Both sums run on multiplicative recurrences; the infinite tail stops when
-    a term drops below rtol times the accumulated sum (geometric decay).
+    a term drops below _TAIL_RTOL times the accumulated sum (geometric decay).
     """
     lam = as_param(param).lam
     if n < 0:
@@ -153,7 +137,7 @@ def remainder_exact(param, n: int, rho: float, rtol: float = 1e-17) -> float:
         qk *= q
         term = abs(g) * qk
         total += term
-        if term < rtol * total:
+        if term < _TAIL_RTOL * total:
             return total
         if k > n + 100_000_000:
             raise RuntimeError("tail failed to converge")
@@ -502,7 +486,9 @@ def scan_sups(u, rhos, samples: int = 2048):
     u is called on blocks of several ellipses at once, raveled to 1-D.
     Returns (sups, any_skipped).  The sups depend on u and rho only, so
     callers scanning many degrees should compute them once.  Raises
-    PoleOnContourError when every rho has a non-finite sample.
+    PoleOnContourError when every rho has a non-finite sample; a pole merely
+    near a contour gives a huge finite sup instead, which is the caller's
+    concern.
     """
     rhos = np.asarray(rhos, dtype=float)
     if not np.all(rhos > 1.0):

@@ -10,11 +10,13 @@ import sys
 
 from .bounds import THEOREMS
 from .experiments import (
+    CUSTOM_RATIONAL,
     DECAY_HEADER,
     DOMINANCE_SLACK,
     FIG2_HEADER,
     FIG3_HEADER,
     NODES_HEADER,
+    TEST_FUNCTIONS,
     ConfigError,
     DominanceError,
     ExperimentConfig,
@@ -25,6 +27,7 @@ from .experiments import (
     run_fig3,
     run_nodes,
 )
+from .nodes import GAUSS, GAUSS_LOBATTO
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -41,9 +44,8 @@ def _common_flags(sub):
     sub.add_argument("--rho-min", type=float)
     sub.add_argument("--rho-max", type=float)
     sub.add_argument("--rho-count", type=int)
-    sub.add_argument("--family", choices=("gauss", "gauss-lobatto"))
-    sub.add_argument("--function",
-                     choices=("runge1", "runge2", "exp", "custom-rational"))
+    sub.add_argument("--family", choices=(GAUSS, GAUSS_LOBATTO))
+    sub.add_argument("--function", choices=(*TEST_FUNCTIONS, CUSTOM_RATIONAL))
     sub.add_argument("--out", help="output path (default: stdout)")
     sub.add_argument("--format", choices=("csv", "json"))
 

@@ -26,7 +26,12 @@ from .bounds import (
     scan_sups,
 )
 from .nodes import GAUSS, GAUSS_LOBATTO, gauss_lobatto_nodes, gauss_nodes
-from .operators import differentiate_at_nodes, interpolate, truncated_expansion_error
+from .operators import (
+    GRID_SIZE,
+    differentiate_at_nodes,
+    interpolate,
+    truncated_expansion_error,
+)
 from .special import GegenbauerParam, as_param
 
 __all__ = [
@@ -35,6 +40,7 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentRecord",
     "TEST_FUNCTIONS",
+    "CUSTOM_RATIONAL",
     "DEFAULT_FIG2_GRID",
     "RHO_SUP_UNIT_POLES",
     "TestFunction",
@@ -112,11 +118,15 @@ def _exp(x):
     return mp.exp(x) if _is_mp(x) else np.exp(x)
 
 
+# the function id of make_rational, whose pole height comes from the config
+CUSTOM_RATIONAL = "custom-rational"
+
+
 def make_rational(pole_imag: float) -> TestFunction:
     """1/(x^2 + s^2) with poles at +-is; admissible rho < s + sqrt(s^2+1)."""
     s2 = pole_imag * pole_imag
     return TestFunction(
-        name=f"custom-rational(s={pole_imag:g})",
+        name=f"{CUSTOM_RATIONAL}(s={pole_imag:g})",
         u=lambda x: 1 / (x * x + s2),
         du=lambda x: -2 * x / (x * x + s2) ** 2,
         rho_sup=pole_imag + math.sqrt(s2 + 1.0),
@@ -133,9 +143,9 @@ TEST_FUNCTIONS = {
 def resolve_function(function_id: str, pole_imag: float = 0.8) -> TestFunction:
     if function_id in TEST_FUNCTIONS:
         return TEST_FUNCTIONS[function_id]
-    if function_id == "custom-rational":
+    if function_id == CUSTOM_RATIONAL:
         if not pole_imag > 0:
-            raise ConfigError("custom-rational needs a positive pole height")
+            raise ConfigError(f"{CUSTOM_RATIONAL} needs a positive pole height")
         return make_rational(pole_imag)
     raise ConfigError(f"unknown function id {function_id!r}")
 
@@ -224,24 +234,30 @@ def _node_set(param, n, family):
     raise ConfigError(f"unknown node family {family!r}")
 
 
+def _escalate(err, exact):
+    """(err, "float64") if the double measurement err is at least
+    MP_ESCALATE_BELOW, else (exact(), "mpmath")."""
+    if err >= MP_ESCALATE_BELOW:
+        return err, "float64"
+    return exact(), "mpmath"
+
+
 def measure_diff_error(param, n, family, fn: TestFunction):
     """Max node-differencing error; (value, backend) with mpmath escalation."""
     ns = _node_set(param, n, family)
     vals = fn.u(ns.nodes)
     err = float(np.max(np.abs(differentiate_at_nodes(ns, vals) - fn.du(ns.nodes))))
-    if err >= MP_ESCALATE_BELOW:
-        return err, "float64"
-    return highprec.diff_error_mp(param, n, family, fn.u, fn.du), "mpmath"
+    return _escalate(
+        err, lambda: highprec.diff_error_mp(param, n, family, fn.u, fn.du)
+    )
 
 
-def measure_interp_error(param, n, family, fn: TestFunction, grid_size=2001):
-    """Max interpolation error on a uniform grid; escalates like measure_diff_error."""
+def measure_interp_error(param, n, family, fn: TestFunction):
+    """Max interpolation error on the uniform grid; escalates to mpmath."""
     ns = _node_set(param, n, family)
-    xs = np.linspace(-1.0, 1.0, grid_size)
+    xs = np.linspace(-1.0, 1.0, GRID_SIZE)
     err = float(np.max(np.abs(interpolate(ns, fn.u(ns.nodes), xs) - fn.u(xs))))
-    if err >= MP_ESCALATE_BELOW:
-        return err, "float64"
-    return highprec.interp_error_mp(param, n, family, fn.u, grid_size), "mpmath"
+    return _escalate(err, lambda: highprec.interp_error_mp(param, n, family, fn.u))
 
 
 def measure_quad_error(param, n, family, fn: TestFunction):
@@ -251,17 +267,13 @@ def measure_quad_error(param, n, family, fn: TestFunction):
     ref_rule = gauss_nodes(p, max(4 * (n + 1), 128))
     ref = float(np.dot(ref_rule.quad_weights, fn.u(ref_rule.nodes)))
     err = abs(ref - float(np.dot(ns.quad_weights, fn.u(ns.nodes))))
-    if err >= MP_ESCALATE_BELOW:
-        return err, "float64"
-    return highprec.quad_error_mp(p, n, family, fn.u), "mpmath"
+    return _escalate(err, lambda: highprec.quad_error_mp(p, n, family, fn.u))
 
 
-def measure_expansion_error(param, fn: TestFunction, n, grid_size=2001):
+def measure_expansion_error(param, fn: TestFunction, n):
     """Truncated-expansion max-grid error; escalates to mpmath."""
-    err = truncated_expansion_error(param, fn.u, n, grid_size)
-    if err >= MP_ESCALATE_BELOW:
-        return err, "float64"
-    return highprec.expansion_error_mp(param, fn.u, n, grid_size), "mpmath"
+    err = truncated_expansion_error(param, fn.u, n)
+    return _escalate(err, lambda: highprec.expansion_error_mp(param, fn.u, n))
 
 
 def fit_log_slope(ns, errors):
@@ -432,14 +444,13 @@ def run_bounds(param, n, rho, m_rho, theorem_id, m="auto"):
     return theorem.bound(p, n, rho, m_rho).as_dict()
 
 
-def run_expansion_decay(param, function_id, n_list, grid_size=2001,
-                        pole_imag: float = 0.8):
+def run_expansion_decay(param, function_id, n_list, pole_imag: float = 0.8):
     """Decay study rows (n, truncated-expansion error, fitted geometric ratio)."""
     fn = resolve_function(function_id, pole_imag)
     p = as_param(param)
     errs = []
     for n in n_list:
-        err, _ = measure_expansion_error(p, fn, n, grid_size)
+        err, _ = measure_expansion_error(p, fn, n)
         errs.append(err)
     if len(n_list) >= 2 and all(e > 0 for e in errs):
         ratio = math.exp(fit_log_slope(n_list, errs))

@@ -11,6 +11,7 @@ values come from the fast double path and are Newton-refined.
 import mpmath as mp
 
 from . import nodes as _nodes
+from .operators import GRID_SIZE
 from .special import as_param
 
 __all__ = [
@@ -22,7 +23,8 @@ __all__ = [
     "expansion_error_mp",
 ]
 
-DEFAULT_DPS = 35
+# working precision, in decimal digits, of every function here
+DPS = 35
 
 
 def _geg(lam, n, x):
@@ -40,10 +42,26 @@ def _dgeg(lam, n, x):
     return 2 * lam * _geg(lam + 1, n - 1, x)
 
 
-def gauss_nodes_mp(param, n: int, dps: int = DEFAULT_DPS):
-    """Gauss nodes refined to dps digits (Newton from the double-path values)."""
+def _h_norm_mp(lam, n):
+    """Squared weighted norm h_n of the degree-n polynomial (see special.h_norm)."""
+    return (
+        2 ** (1 - 2 * lam)
+        * mp.pi
+        * mp.gamma(n + 2 * lam)
+        / (mp.gamma(lam) ** 2 * mp.factorial(n) * (n + lam))
+    )
+
+
+def _grid_mp():
+    """The GRID_SIZE-point uniform grid on [-1, 1] at working precision."""
+    m = GRID_SIZE - 1
+    return (mp.mpf(2 * i - m) / m for i in range(GRID_SIZE))
+
+
+def gauss_nodes_mp(param, n: int):
+    """Gauss nodes refined to DPS digits (Newton from the double-path values)."""
     p = as_param(param)
-    with mp.workdps(dps):
+    with mp.workdps(DPS):
         lam = mp.mpf(p.lam)
         out = []
         for x0 in _nodes.gauss_nodes(p, n).nodes:
@@ -54,45 +72,56 @@ def gauss_nodes_mp(param, n: int, dps: int = DEFAULT_DPS):
     return out
 
 
-def lobatto_nodes_mp(param, n: int, dps: int = DEFAULT_DPS):
+def lobatto_nodes_mp(param, n: int):
     """Lobatto nodes: exact endpoints plus refined interior zeros."""
     p = as_param(param)
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1:
         return [mp.mpf(-1), mp.mpf(1)]
-    interior = gauss_nodes_mp(p.lam + 1.0, n - 2, dps)
+    interior = gauss_nodes_mp(p.lam + 1.0, n - 2)
     return [mp.mpf(-1)] + interior + [mp.mpf(1)]
 
 
-def _nodes_mp(param, n, family, dps):
+def _interpolation_data(param, n, family, u):
+    """Nodes, barycentric weights and values of u at the nodes."""
     if family == _nodes.GAUSS:
-        return gauss_nodes_mp(param, n, dps)
-    if family == _nodes.GAUSS_LOBATTO:
-        return lobatto_nodes_mp(param, n, dps)
-    raise ValueError(f"unknown family {family!r}")
-
-
-def _bary_mp(xs):
-    out = []
+        xs = gauss_nodes_mp(param, n)
+    elif family == _nodes.GAUSS_LOBATTO:
+        xs = lobatto_nodes_mp(param, n)
+    else:
+        raise ValueError(f"unknown family {family!r}")
+    b = []
     for j, xj in enumerate(xs):
         prod = mp.mpf(1)
         for k, xk in enumerate(xs):
             if k != j:
                 prod *= xj - xk
-        out.append(1 / prod)
-    return out
+        b.append(1 / prod)
+    return xs, b, [u(x) for x in xs]
 
 
-def diff_error_mp(param, n: int, family: str, u, du, dps: int = DEFAULT_DPS) -> float:
+def _interpolant_mp(xs, b, uv, x):
+    """Second-form barycentric interpolant at x; uv[j] exactly at node j."""
+    num = mp.mpf(0)
+    den = mp.mpf(0)
+    for xj, bj, uj in zip(xs, b, uv):
+        d = x - xj
+        if d == 0:
+            return uj
+        t = bj / d
+        num += t * uj
+        den += t
+    return num / den
+
+
+def diff_error_mp(param, n: int, family: str, u, du) -> float:
     """Exact max over the nodes of |interpolant derivative - u'|.
 
     u and du must accept mpmath arguments (plain rational expressions do).
     """
-    with mp.workdps(dps):
-        xs = _nodes_mp(param, n, family, dps)
-        b = _bary_mp(xs)
-        uv = [u(x) for x in xs]
+    with mp.workdps(DPS):
+        xs, b, uv = _interpolation_data(param, n, family, u)
         worst = mp.mpf(0)
         for j in range(len(xs)):
             row_sum = mp.mpf(0)
@@ -108,100 +137,60 @@ def diff_error_mp(param, n: int, family: str, u, du, dps: int = DEFAULT_DPS) -> 
         return float(worst)
 
 
-def interp_error_mp(
-    param, n: int, family: str, u, grid_size: int = 2001, dps: int = DEFAULT_DPS
-) -> float:
-    """Exact max over a uniform grid of |interpolant - u|."""
-    with mp.workdps(dps):
-        xs = _nodes_mp(param, n, family, dps)
-        b = _bary_mp(xs)
-        uv = [u(x) for x in xs]
+def interp_error_mp(param, n: int, family: str, u) -> float:
+    """Exact max over the uniform grid of |interpolant - u|."""
+    with mp.workdps(DPS):
+        xs, b, uv = _interpolation_data(param, n, family, u)
         worst = mp.mpf(0)
-        for i in range(grid_size):
-            xg = mp.mpf(2 * i - (grid_size - 1)) / (grid_size - 1)
-            num = mp.mpf(0)
-            den = mp.mpf(0)
-            hit = None
-            for j in range(len(xs)):
-                d = xg - xs[j]
-                if d == 0:
-                    hit = j
-                    break
-                t = b[j] / d
-                num += t * uv[j]
-                den += t
-            val = uv[hit] if hit is not None else num / den
-            worst = max(worst, abs(val - u(xg)))
+        for xg in _grid_mp():
+            worst = max(worst, abs(_interpolant_mp(xs, b, uv, xg) - u(xg)))
         return float(worst)
 
 
-def quad_error_mp(param, n: int, family: str, u, dps: int = DEFAULT_DPS) -> float:
-    """Exact |integral of (u - interpolant) times the weight| over [-1, 1]."""
+def quad_error_mp(param, n: int, family: str, u) -> float:
+    """|integral of (u - interpolant) times the weight| over [-1, 1], by
+    mpmath quadrature at DPS digits.
+
+    The value has a rounding floor of about 1e-37 to 1e-38: on runge1 at
+    lam = 1/2 it is noise rather than the error for n >= 44 (n = 64 Gauss
+    gives 1.5e-38 where 70 digits give 4.5e-50).
+    """
     p = as_param(param)
-    with mp.workdps(dps):
+    with mp.workdps(DPS):
         lam = mp.mpf(p.lam)
-        xs = _nodes_mp(p, n, family, dps)
-        b = _bary_mp(xs)
-        uv = [u(x) for x in xs]
-
-        def interpolant(x):
-            num = mp.mpf(0)
-            den = mp.mpf(0)
-            for j in range(len(xs)):
-                d = x - xs[j]
-                if d == 0:
-                    return uv[j]
-                t = b[j] / d
-                num += t * uv[j]
-                den += t
-            return num / den
-
+        xs, b, uv = _interpolation_data(p, n, family, u)
         weight = lambda x: (1 - x * x) ** (lam - mp.mpf(1) / 2)
         err = mp.quad(
-            lambda x: (u(x) - interpolant(x)) * weight(x), [-1, 0, 1]
+            lambda x: (u(x) - _interpolant_mp(xs, b, uv, x)) * weight(x), [-1, 0, 1]
         )
         return float(abs(err))
 
 
-def expansion_error_mp(
-    param, u, n: int, grid_size: int = 2001, dps: int = 30
-) -> float:
+def expansion_error_mp(param, u, n: int) -> float:
     """Exact max-grid error of the degree-n truncated expansion of u.
 
     Coefficients use the same 2(n+1)-point quadrature as the double path, so
     the two agree wherever double precision can still resolve the error.
     """
     p = as_param(param)
-    with mp.workdps(dps):
+    with mp.workdps(DPS):
         lam = mp.mpf(p.lam)
         npts = 2 * (n + 1)
-        ys = gauss_nodes_mp(p, npts - 1, dps)
+        ys = gauss_nodes_mp(p, npts - 1)
         # classical weights: (k_{N}/k_{N-1}) h_{N-1} / (C_{N-1}(y) C'_N(y))
         nn = npts - 1
         lead_ratio = 2 * (nn + lam) / (nn + 1)
-        h_prev = (
-            2 ** (1 - 2 * lam)
-            * mp.pi
-            * mp.gamma(nn + 2 * lam)
-            / (mp.gamma(lam) ** 2 * mp.factorial(nn) * (nn + lam))
-        )
+        h_prev = _h_norm_mp(lam, nn)
         ws = [
             lead_ratio * h_prev / (_geg(lam, nn, y) * _dgeg(lam, npts, y)) for y in ys
         ]
         uv = [u(y) for y in ys]
         coeffs = []
         for l in range(n + 1):
-            h_l = (
-                2 ** (1 - 2 * lam)
-                * mp.pi
-                * mp.gamma(l + 2 * lam)
-                / (mp.gamma(lam) ** 2 * mp.factorial(l) * (l + lam))
-            )
             s = mp.fsum(w * uy * _geg(lam, l, y) for w, uy, y in zip(ws, uv, ys))
-            coeffs.append(s / h_l)
+            coeffs.append(s / _h_norm_mp(lam, l))
         worst = mp.mpf(0)
-        for i in range(grid_size):
-            xg = mp.mpf(2 * i - (grid_size - 1)) / (grid_size - 1)
+        for xg in _grid_mp():
             # one recurrence sweep accumulating all degrees
             acc = coeffs[0]
             c_prev = mp.mpf(1)

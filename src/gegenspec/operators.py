@@ -13,6 +13,7 @@ from .poly import recurrence_table
 from .special import as_param, h_norm
 
 __all__ = [
+    "GRID_SIZE",
     "DiffMatrix",
     "interpolate",
     "diff_matrix",
@@ -20,6 +21,9 @@ __all__ = [
     "expansion_coeffs",
     "truncated_expansion_error",
 ]
+
+# points of the uniform grid on [-1, 1] where max-norm errors are measured
+GRID_SIZE = 2001
 
 
 @dataclass(frozen=True)
@@ -98,7 +102,7 @@ def expansion_coeffs(param, u, n: int) -> np.ndarray:
     return (table @ weighted) / norms
 
 
-def truncated_expansion_error(param, u, n: int, grid_size: int = 2001) -> float:
+def truncated_expansion_error(param, u, n: int, grid_size: int = GRID_SIZE) -> float:
     """Max over a uniform grid of |truncated expansion of u - u|."""
     p = as_param(param)
     if grid_size < 2:

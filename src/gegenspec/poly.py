@@ -23,7 +23,6 @@ __all__ = [
     "eval_w_series",
     "normalized_on_ellipse",
     "value_at_one",
-    "max_abs_bound",
 ]
 
 
@@ -173,9 +172,11 @@ def value_at_one(param, n: int) -> float:
 
 @lru_cache(maxsize=None)
 def calibrated_sup_scale(lam: float) -> float:
-    """Calibrated constant sup_n max_x |C_n(x)| / n^(lam-1) for -1/2 < lam < 0.
+    """Calibrated constant D = sup_n max_x |C_n(x)| / n^(lam-1) for -1/2 < lam < 0.
 
-    The sup is taken over n = 1..200 on a 2001-point grid; computed once per
+    It gives the sup-norm bound max |C_n| <= D n^(lam-1) on [-1, 1] (for
+    lam > 0 the max is the endpoint value C_n(1), see value_at_one).  The
+    sup is taken over n = 1..200 on a 2001-point grid; computed once per
     lam and cached (write-once, read-many).  Results that depend on it are
     flagged downstream.
     """
@@ -186,20 +187,3 @@ def calibrated_sup_scale(lam: float) -> float:
         best = max(best, float(np.max(np.abs(table[n]))) / n ** (lam - 1.0))
     return best
 
-
-def max_abs_bound(param, n: int) -> float:
-    """Upper bound for max over [-1,1] of |C_n|.
-
-    For lam > 0 this is the endpoint value C_n(1).  For -1/2 < lam < 0 the
-    bound D n^(lam-1) holds with a constant D independent of n; D is not
-    available in closed form and is calibrated numerically (see
-    _calibrated_scale), so downstream reports flag its use.
-    """
-    p = as_param(param)
-    if n < 0:
-        raise ValueError("n must be a nonnegative integer")
-    if p.lam > 0:
-        return value_at_one(p, n)
-    if n == 0:
-        return 1.0
-    return calibrated_sup_scale(p.lam) * n ** (p.lam - 1.0)

@@ -1,4 +1,4 @@
-"""Gamma-family scalar functions and the coefficient sequences shared by all modules.
+"""The family parameter, its coefficient sequences and weighted norms.
 
 Everything here is a pure function of its arguments; ratios of Gamma values are
 assembled in log space (or by multiplicative recurrences) so that nothing
@@ -12,12 +12,8 @@ import numpy as np
 
 __all__ = [
     "GegenbauerParam",
-    "ln_gamma",
-    "g_coeff",
     "g_coeff_sequence",
-    "d_coeff",
     "d_coeff_sequence",
-    "upper_incomplete_gamma_int",
     "h_norm",
     "total_mass",
 ]
@@ -45,36 +41,14 @@ def as_param(param) -> GegenbauerParam:
     return GegenbauerParam(float(param))
 
 
-def ln_gamma(x: float) -> float:
-    """Natural log of Gamma(x) for x > 0.
-
-    Raises ValueError for x <= 0.
-    """
-    x = float(x)
-    if not x > 0.0:
-        raise ValueError(f"ln_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
-
-def g_coeff(param, k: int) -> float:
-    """Binomial-ratio coefficient Gamma(k+lam) / (k! Gamma(lam)).
+def g_coeff_sequence(param, kmax: int) -> np.ndarray:
+    """Array [g_0, ..., g_kmax] of g_k = Gamma(k+lam) / (k! Gamma(lam)).
 
     Computed by the multiplicative recurrence g_{k+1} = g_k (k+lam)/(k+1)
-    from g_0 = 1; never via direct Gamma evaluation, so large k cannot
+    from g_0 = 1, never via direct Gamma evaluation, so large k cannot
     overflow.  For lam < 0 the single sign flip at k = 1 emerges from the
     recurrence.
     """
-    lam = as_param(param).lam
-    if k < 0:
-        raise ValueError("k must be a nonnegative integer")
-    g = 1.0
-    for j in range(int(k)):
-        g *= (j + lam) / (j + 1)
-    return g
-
-
-def g_coeff_sequence(param, kmax: int) -> np.ndarray:
-    """Array [g_0, g_1, ..., g_kmax] by the multiplicative recurrence."""
     lam = as_param(param).lam
     if kmax < 0:
         raise ValueError("kmax must be a nonnegative integer")
@@ -85,23 +59,12 @@ def g_coeff_sequence(param, kmax: int) -> np.ndarray:
     return g
 
 
-def d_coeff(param, n: int, k: int) -> float:
-    """Relative coefficient defect 1 - g_{n-k}/g_n for 1 <= k <= n.
+def d_coeff_sequence(param, n: int) -> np.ndarray:
+    """Array [d_{n,1}, ..., d_{n,n}] of the defects d_{n,k} = 1 - g_{n-k}/g_n.
 
-    The ratio g_{n-k}/g_n is accumulated multiplicatively; every
+    The ratio g_{n-k}/g_n is accumulated in one multiplicative sweep; every
     intermediate stays O(poly(n)) for any lam > -1/2.
     """
-    lam = as_param(param).lam
-    if not (1 <= k <= n):
-        raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
-    r = 1.0
-    for j in range(1, int(k) + 1):
-        r *= (n - j + 1) / (n - j + lam)
-    return 1.0 - r
-
-
-def d_coeff_sequence(param, n: int) -> np.ndarray:
-    """Array [d_{n,1}, ..., d_{n,n}] in one multiplicative sweep."""
     lam = as_param(param).lam
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -111,27 +74,6 @@ def d_coeff_sequence(param, n: int) -> np.ndarray:
         r *= (n - k + 1) / (n - k + lam)
         d[k - 1] = 1.0 - r
     return d
-
-
-def upper_incomplete_gamma_int(n: int, x: float) -> float:
-    """Upper incomplete Gamma value Gamma(n+1, x) for integer n >= 0, x >= 0.
-
-    Uses the finite closed form n! e^{-x} sum_{k<=n} x^k/k!, evaluated by
-    log-sum-exp so large n or x stay in range.
-    """
-    n = int(n)
-    x = float(x)
-    if n < 0:
-        raise ValueError("n must be a nonnegative integer")
-    if x < 0:
-        raise ValueError("x must be >= 0")
-    if x == 0.0:
-        return math.exp(math.lgamma(n + 1))
-    lognfac = math.lgamma(n + 1)
-    logx = math.log(x)
-    logterms = [lognfac - math.lgamma(k + 1) + k * logx - x for k in range(n + 1)]
-    top = max(logterms)
-    return math.exp(top) * math.fsum(math.exp(t - top) for t in logterms)
 
 
 def h_norm(param, n: int) -> float:

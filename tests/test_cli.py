@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -5,6 +6,8 @@ import pytest
 
 from gegenspec import cli
 from gegenspec.bounds import THEOREMS
+from gegenspec.experiments import CUSTOM_RATIONAL, TEST_FUNCTIONS, resolve_function
+from gegenspec.nodes import GAUSS, GAUSS_LOBATTO
 
 
 def run_cli(argv):
@@ -184,6 +187,24 @@ class TestExpansionDecayCommand:
         assert len(lines) == 4
         ratio = float(lines[1].split(",")[2])
         assert 0.3 < ratio < 0.55
+
+
+class TestParserChoices:
+    def test_choices_come_from_the_tables(self):
+        subs = next(
+            a for a in cli.build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        choices = {
+            name: {a.dest: a.choices for a in sub._actions if a.choices}
+            for name, sub in subs.choices.items()
+        }
+        for name in ("nodes", "fig2", "fig3", "expansion-decay"):
+            assert tuple(choices[name]["function"]) == (*TEST_FUNCTIONS, CUSTOM_RATIONAL)
+            assert tuple(choices[name]["family"]) == (GAUSS, GAUSS_LOBATTO)
+        assert tuple(choices["bounds"]["theorem"]) == tuple(THEOREMS)
+        for function_id in choices["fig3"]["function"]:
+            resolve_function(function_id)
 
 
 class TestErrorPaths:

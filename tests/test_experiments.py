@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gegenspec import experiments as ex
+from gegenspec import highprec
 from gegenspec.nodes import GAUSS, GAUSS_LOBATTO
 
 
@@ -100,12 +101,30 @@ class TestRecord:
 
 
 class TestMeasurement:
-    def test_escalation_kicks_in(self):
+    def test_escalation_kicks_in(self, monkeypatch):
+        # every kind shares one escalation step; the mpmath call is replaced
+        # by a sentinel so both branches run without mpmath work
         fn = ex.TEST_FUNCTIONS["runge1"]
-        _, backend_small = ex.measure_diff_error(0.5, 12, GAUSS, fn)
-        _, backend_large = ex.measure_diff_error(0.5, 56, GAUSS, fn)
-        assert backend_small == "float64"
-        assert backend_large == "mpmath"
+        sentinel = 1.25e-30
+        for kind in ("diff", "interp", "quad", "expansion"):
+            calls = []
+            monkeypatch.setattr(
+                highprec, f"{kind}_error_mp",
+                lambda *args: calls.append(args) or sentinel,
+            )
+            measure = getattr(ex, f"measure_{kind}_error")
+
+            def run(n):
+                if kind == "expansion":
+                    return measure(0.5, fn, n)
+                return measure(0.5, n, GAUSS, fn)
+
+            err_small, backend_small = run(4)
+            assert backend_small == "float64", kind
+            assert ex.MP_ESCALATE_BELOW <= err_small < 1.0, kind
+            assert calls == [], kind
+            assert run(56) == (sentinel, "mpmath"), kind
+            assert len(calls) == 1, kind
 
     def test_quad_measurement_legendre(self):
         fn = ex.TEST_FUNCTIONS["runge1"]

@@ -6,13 +6,13 @@ import pytest
 from gegenspec.poly import (
     eval_derivative,
     eval_recurrence,
+    calibrated_sup_scale,
     eval_w_series,
-    max_abs_bound,
     normalized_on_ellipse,
     recurrence_table,
     value_at_one,
 )
-from gegenspec.special import g_coeff, g_coeff_sequence, h_norm
+from gegenspec.special import g_coeff_sequence, h_norm
 from gegenspec.bounds import remainder_exact
 
 LAM_GRID = (-0.3, 0.5, 1.0, 1.5, 3.2)
@@ -81,11 +81,12 @@ class TestRecurrence:
         # |x| = 1e4 cancels the next Laurent term, leaving O(x^-4)
         x = 1e4
         for lam in (-0.3, 0.5, 1.5, 3.2):
+            g = g_coeff_sequence(lam, 20)
             for n in range(1, 21):
                 r1 = eval_recurrence(lam, n, x) / x ** n
                 r2 = eval_recurrence(lam, n, 1j * x) / (1j * x) ** n
                 lead = 0.5 * (r1 + r2)
-                expected = 2.0 ** n * g_coeff(lam, n)
+                expected = 2.0 ** n * g[n]
                 assert abs(lead - expected) <= 1e-8 * abs(expected)
 
     def test_nevai_style_bound(self):
@@ -220,25 +221,30 @@ class TestValueAtOne:
 
 
 class TestMaxAbsBound:
+    """max |C_n| on [-1, 1]: C_n(1) for lam > 0, the calibrated D n^(lam-1)
+    for lam < 0."""
+
     def test_legendre_is_one(self):
-        assert max_abs_bound(0.5, 50) == pytest.approx(1.0, rel=1e-13)
+        xs = np.linspace(-1.0, 1.0, 2001)
+        observed = np.max(np.abs(eval_recurrence(0.5, 50, xs)))
+        assert observed == pytest.approx(value_at_one(0.5, 50), rel=1e-13)
+        assert value_at_one(0.5, 50) == pytest.approx(1.0, rel=1e-13)
 
     def test_positive_lam_endpoint(self):
-        assert max_abs_bound(2.0, 3) == pytest.approx(20.0, rel=1e-13)
+        xs = np.linspace(-1.0, 1.0, 2001)
+        observed = np.max(np.abs(eval_recurrence(2.0, 3, xs)))
+        assert observed == pytest.approx(value_at_one(2.0, 3), rel=1e-13)
+        assert value_at_one(2.0, 3) == pytest.approx(20.0, rel=1e-13)
 
     def test_calibrated_negative_lam(self):
         lam, n = -0.3, 100
-        bound = max_abs_bound(lam, n)
+        bound = calibrated_sup_scale(lam) * n ** (lam - 1.0)
         xs = np.linspace(-1.0, 1.0, 2001)
         observed = np.max(np.abs(eval_recurrence(lam, n, xs)))
         assert observed <= bound * (1 + 1e-12)
-        # the calibrated constant keeps the n dependence n^(lam-1)
-        assert max_abs_bound(lam, 2 * n) / bound == pytest.approx(
-            2.0 ** (lam - 1.0), rel=1e-12
-        )
 
     def test_covers_interval_for_negative_lam(self):
         xs = np.linspace(-1.0, 1.0, 1501)
         for n in (10, 60, 150):
             vals = np.max(np.abs(eval_recurrence(-0.3, n, xs)))
-            assert vals <= max_abs_bound(-0.3, n) * (1 + 1e-12)
+            assert vals <= calibrated_sup_scale(-0.3) * n ** (-1.3) * (1 + 1e-12)

@@ -1,0 +1,41 @@
+import importlib
+
+import pytest
+
+import gegenspec
+
+MODULES = ("special", "poly", "nodes", "operators", "bounds", "experiments", "highprec")
+
+# helpers and scalar twins that no code path used; they must stay gone
+REMOVED = (
+    "ln_gamma",
+    "g_coeff",
+    "d_coeff",
+    "upper_incomplete_gamma_int",
+    "max_abs_bound",
+    "sup_on_ellipse",
+    "ellipse_axes",
+    "interval_distance",
+    "perimeter_estimate",
+)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_all_names_exist(name):
+    module = importlib.import_module(f"gegenspec.{name}")
+    assert len(set(module.__all__)) == len(module.__all__)
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def test_package_all_resolves():
+    assert len(set(gegenspec.__all__)) == len(gegenspec.__all__)
+    assert [n for n in gegenspec.__all__ if not hasattr(gegenspec, n)] == []
+
+
+@pytest.mark.parametrize("name", REMOVED)
+def test_removed_name_is_gone(name):
+    assert name not in gegenspec.__all__
+    with pytest.raises(ImportError):
+        exec(f"from gegenspec import {name}", {})
+    for module_name in MODULES:
+        assert not hasattr(importlib.import_module(f"gegenspec.{module_name}"), name)

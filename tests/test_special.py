@@ -5,14 +5,10 @@ import pytest
 
 from gegenspec.special import (
     GegenbauerParam,
-    d_coeff,
     d_coeff_sequence,
-    g_coeff,
     g_coeff_sequence,
     h_norm,
-    ln_gamma,
     total_mass,
-    upper_incomplete_gamma_int,
 )
 
 LAM_GRID = (-0.3, 0.5, 1.5, 3.2)
@@ -29,64 +25,28 @@ class TestGegenbauerParam:
             GegenbauerParam(lam)
 
 
-class TestLnGamma:
-    def test_gamma_one(self):
-        assert ln_gamma(1.0) == pytest.approx(0.0, abs=1e-15)
-
-    def test_gamma_half(self):
-        assert ln_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-14)
-
-    def test_factorial(self):
-        # Gamma(6) = 5! = 120, by direct factorial
-        assert ln_gamma(6.0) == pytest.approx(math.log(120.0), rel=1e-14)
-
-    @pytest.mark.parametrize("x", [0.0, -1.0, -0.5])
-    def test_domain(self, x):
-        with pytest.raises(ValueError):
-            ln_gamma(x)
-
-    def test_stirling_sandwich(self):
-        # sqrt(2 pi) x^(x+1/2) e^-x <= Gamma(x+1) <= same * e^(1/(12x)),
-        # compared in log space on [1, 200]
-        for x in np.linspace(1.0, 200.0, 399):
-            lower = 0.5 * math.log(2 * math.pi) + (x + 0.5) * math.log(x) - x
-            val = ln_gamma(x + 1.0)
-            assert lower - 1e-12 <= val <= lower + 1.0 / (12.0 * x) + 1e-12
-
-    def test_duplication(self):
-        # Gamma(x) Gamma(x+1/2) = 2^(1-2x) sqrt(pi) Gamma(2x)
-        for x in np.linspace(0.5, 50.0, 200):
-            lhs = ln_gamma(x) + ln_gamma(x + 0.5)
-            rhs = (1.0 - 2.0 * x) * math.log(2.0) + 0.5 * math.log(math.pi) + ln_gamma(2.0 * x)
-            assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
-
-    def test_reflection(self):
-        # Gamma(x) Gamma(-x) = -pi / (x sin(pi x)), with math.gamma as the
-        # independent negative-argument reference
-        for x in np.linspace(0.1, 9.9, 197):
-            if abs(x - round(x)) < 1e-9:
-                continue
-            lhs = math.exp(ln_gamma(x)) * math.gamma(-x)
-            rhs = -math.pi / (x * math.sin(math.pi * x))
-            assert lhs == pytest.approx(rhs, rel=1e-10)
-
-
 class TestGCoeff:
     def test_lam_one_all_ones(self):
-        assert g_coeff(1.0, 7) == 1.0
+        assert np.all(g_coeff_sequence(1.0, 7) == 1.0)
 
     def test_legendre_closed_form(self):
-        # lam = 1/2: (2k)! / (k!^2 2^(2k)) at k = 2 is 3/8
-        assert g_coeff(0.5, 2) == pytest.approx(0.375, rel=1e-15)
+        # lam = 1/2: (2k)! / (k!^2 2^(2k)), i.e. 1, 1/2, 3/8, 5/16
+        np.testing.assert_allclose(
+            g_coeff_sequence(0.5, 3), [1.0, 0.5, 0.375, 0.3125], rtol=1e-15
+        )
 
     def test_negative_lam_sign(self):
-        assert g_coeff(-0.25, 3) < 0.0
+        # the only sign flip is at k = 1
+        g = g_coeff_sequence(-0.25, 30)
+        assert g[0] == 1.0 and np.all(g[1:] < 0.0)
 
     def test_sequence_matches_scalar(self):
+        # each entry against the scalar Gamma ratio Gamma(k+lam)/(k! Gamma(lam))
         for lam in LAM_GRID:
             seq = g_coeff_sequence(lam, 30)
             for k in (0, 1, 7, 30):
-                assert seq[k] == pytest.approx(g_coeff(lam, k), rel=1e-15)
+                direct = math.gamma(k + lam) / (math.factorial(k) * math.gamma(lam))
+                assert seq[k] == pytest.approx(direct, rel=1e-13)
 
     @pytest.mark.parametrize("lam", LAM_GRID)
     def test_stirling_asymptotics(self, lam):
@@ -118,7 +78,7 @@ class TestGCoeff:
 
 class TestDCoeff:
     def test_lam_one_zero(self):
-        assert d_coeff(1.0, 10, 3) == 0.0
+        assert np.all(d_coeff_sequence(1.0, 10) == 0.0)
 
     def test_monotone_increasing_above_one(self):
         for lam in (1.5, 3.2):
@@ -133,29 +93,9 @@ class TestDCoeff:
         assert np.all(np.diff(neg) > 0.0)
 
     def test_range_errors(self):
-        with pytest.raises(ValueError):
-            d_coeff(0.5, 10, 0)
-        with pytest.raises(ValueError):
-            d_coeff(0.5, 10, 11)
-
-
-class TestUpperIncompleteGamma:
-    def test_n0(self):
-        assert upper_incomplete_gamma_int(0, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-14)
-
-    def test_x0(self):
-        assert upper_incomplete_gamma_int(1, 0.0) == pytest.approx(1.0, rel=1e-14)
-
-    def test_n1_x1(self):
-        # 1! e^-1 (1 + 1) = 2/e
-        assert upper_incomplete_gamma_int(1, 1.0) == pytest.approx(2.0 / math.e, rel=1e-14)
-
-    def test_against_quadrature(self):
-        from scipy.integrate import quad
-
-        for n, x in ((2, 0.7), (4, 3.0), (7, 10.0)):
-            ref, _ = quad(lambda t: t ** n * math.exp(-t), x, np.inf)
-            assert upper_incomplete_gamma_int(n, x) == pytest.approx(ref, rel=1e-12)
+        for n in (0, -1):
+            with pytest.raises(ValueError):
+                d_coeff_sequence(0.5, n)
 
 
 class TestHNorm:
