@@ -10,24 +10,23 @@ from gegenspec import GAUSS
 from gegenspec.experiments import (
     RHO_SUP_UNIT_POLES,
     TEST_FUNCTIONS,
-    measure_diff_error,
+    certify,
+    scan_function,
 )
-from gegenspec.bounds import minimize_bound_on_grid, rho_scan_grid, scan_sups
 
 fn = TEST_FUNCTIONS["runge1"]
 lam = 0.5
 
 # the sup of |u| on each candidate ellipse depends only on rho: scan once
-rhos = rho_scan_grid(1.0, RHO_SUP_UNIT_POLES, 2000)
-sups, skipped = scan_sups(fn.u, rhos, 2048)
+scan = scan_function(fn, (1.0, RHO_SUP_UNIT_POLES, 2000), 2048)
 
 print("Gauss differencing of 1/(1+x^2), lambda = 0.5")
 print("  n    measured error   scanned bound    rho*     bound/error")
 for n in range(8, 68, 8):
-    err, backend = measure_diff_error(lam, n, GAUSS, fn)
-    rho_star, bd = minimize_bound_on_grid(lam, n, "T42", rhos, sups, skipped)
-    star = "*" if backend == "mpmath" else " "
-    print(f"  {n:2d}{star}  {err:.6e}    {bd.total:.6e}   {rho_star:.4f}   {bd.total / err:9.1f}")
+    rec = certify(fn, lam, n, GAUSS, ("diff",), scan)["diff"]
+    err, bound = rec.measured_error, rec.bound_total
+    star = "*" if rec.backend == "mpmath" else " "
+    print(f"  {n:2d}{star}  {err:.6e}    {bound:.6e}   {rec.rho_star:.4f}   {bound / err:9.1f}")
 
 print("""
 rows marked * were measured in extended precision: beyond n ~ 45 the true

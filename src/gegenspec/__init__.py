@@ -50,7 +50,6 @@ from .bounds import (
     interp_bound_lobatto,
     diff_bound_lobatto,
     quad_bound,
-    best_bound_over_rho,
 )
 from .experiments import (
     ExperimentConfig,
@@ -74,7 +73,7 @@ __all__ = [
     "EllipseSpec", "BoundBreakdown", "PoleOnContourError", "ellipse_points",
     "remainder_exact", "remainder_bound", "e_n_metric", "interp_bound_gauss",
     "diff_bound_gauss", "interp_bound_lobatto", "diff_bound_lobatto",
-    "quad_bound", "best_bound_over_rho",
+    "quad_bound",
     "ExperimentConfig", "ExperimentRecord", "TEST_FUNCTIONS",
     "ConfigError", "DominanceError",
     "__version__",

@@ -33,7 +33,6 @@ __all__ = [
     "Theorem",
     "THEOREMS",
     "lookup_theorem",
-    "best_bound_over_rho",
 ]
 
 FLAG_C_ONE = "c set to 1"
@@ -536,22 +535,3 @@ def minimize_bound_on_grid(
         best = replace(best, flags=best.flags + [FLAG_SKIPPED_RHO])
     return float(rhos[i]), best
 
-
-def best_bound_over_rho(
-    param,
-    n: int,
-    u,
-    rho_min: float,
-    rho_max: float,
-    count: int,
-    which: str,
-    samples: int = 2048,
-) -> tuple[float, BoundBreakdown]:
-    """Scan rho over the open interval and return the minimizing bound.
-
-    The sup of |u| is sampled once per rho by scan_sups; any rho where it is
-    non-finite is skipped and the result flagged.
-    """
-    rhos = rho_scan_grid(rho_min, rho_max, count)
-    sups, skipped = scan_sups(u, rhos, samples)
-    return minimize_bound_on_grid(param, n, which, rhos, sups, skipped)

@@ -35,19 +35,16 @@ EXIT_DOMINANCE = 3
 EXIT_IO = 4
 
 
-def _common_flags(sub):
-    sub.add_argument("--config", help="JSON file matching ExperimentConfig")
-    sub.add_argument("--lambda", dest="lambda_", type=float, action="append",
-                     help="family index (repeatable)")
-    sub.add_argument("--n", dest="n", type=int, action="append",
-                     help="degree (repeatable)")
-    sub.add_argument("--rho-min", type=float)
-    sub.add_argument("--rho-max", type=float)
-    sub.add_argument("--rho-count", type=int)
-    sub.add_argument("--family", choices=(GAUSS, GAUSS_LOBATTO))
-    sub.add_argument("--function", choices=(*TEST_FUNCTIONS, CUSTOM_RATIONAL))
-    sub.add_argument("--out", help="output path (default: stdout)")
-    sub.add_argument("--format", choices=("csv", "json"))
+# the study flags; each subcommand below takes only those it reads
+_STUDY_FLAGS = {
+    "--lambda": dict(dest="lambda_", type=float, action="append",
+                     help="family index (repeatable)"),
+    "--n": dict(type=int, action="append", help="degree (repeatable)"),
+    "--rho-min": dict(type=float), "--rho-max": dict(type=float),
+    "--rho-count": dict(type=int),
+    "--family": dict(choices=(GAUSS, GAUSS_LOBATTO)),
+    "--function": dict(choices=(*TEST_FUNCTIONS, CUSTOM_RATIONAL)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,13 +54,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "certified exponential-accuracy bounds",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, blurb in (
-        ("nodes", "dump node/weight tables"),
-        ("fig2", "large-n tightness study of the normalized boundary series"),
-        ("fig3", "node-differencing error versus scanned bound"),
-        ("expansion-decay", "truncated-expansion decay study"),
+    for name, blurb, flags in (
+        ("nodes", "dump node/weight tables", ("--lambda", "--n", "--family")),
+        ("fig2", "large-n tightness study of the normalized boundary series", ()),
+        ("fig3", "node-differencing error versus scanned bound",
+         ("--lambda", "--n", "--rho-min", "--rho-max", "--rho-count", "--function")),
+        ("expansion-decay", "truncated-expansion decay study",
+         ("--lambda", "--n", "--function")),
     ):
-        _common_flags(subs.add_parser(name, help=blurb))
+        sub = subs.add_parser(name, help=blurb)
+        sub.add_argument("--config", help="JSON file matching ExperimentConfig")
+        for flag in flags:
+            sub.add_argument(flag, **_STUDY_FLAGS[flag])
+        sub.add_argument("--out", help="output path (default: stdout)")
+        sub.add_argument("--format", choices=("csv", "json"))
     b = subs.add_parser("bounds", help="print one itemized bound as JSON")
     b.add_argument("--lambda", dest="lambda_", type=float, required=True)
     b.add_argument("--n", type=int, required=True)
@@ -78,21 +82,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> ExperimentConfig:
+    flags = vars(args)
     overrides = {
-        "lambda_list": tuple(args.lambda_) if args.lambda_ else None,
-        "n_list": tuple(args.n) if args.n else None,
-        "node_family": args.family,
-        "function_id": args.function,
+        "lambda_list": tuple(flags["lambda_"]) if flags.get("lambda_") else None,
+        "n_list": tuple(flags["n"]) if flags.get("n") else None,
+        "node_family": flags.get("family"),
+        "function_id": flags.get("function"),
         "output_path": args.out,
         "format": args.format,
     }
-    if args.rho_min is not None or args.rho_max is not None or args.rho_count is not None:
+    rho = [flags.get(key) for key in ("rho_min", "rho_max", "rho_count")]
+    if rho != [None, None, None]:
         base = ExperimentConfig.__dataclass_fields__["rho_scan"].default
-        overrides["rho_scan"] = (
-            args.rho_min if args.rho_min is not None else base[0],
-            args.rho_max if args.rho_max is not None else base[1],
-            args.rho_count if args.rho_count is not None else base[2],
-        )
+        overrides["rho_scan"] = tuple(b if v is None else v for v, b in zip(rho, base))
     if args.config:
         return ExperimentConfig.from_json(args.config, **overrides)
     return ExperimentConfig(**{k: v for k, v in overrides.items() if v is not None})
@@ -156,9 +158,11 @@ def _cmd_fig3(args) -> int:
         sys.stdout.write(table_text)
         sys.stdout.write(summary_text)
     if not summary["dominance_ok"]:
-        raise DominanceError(
-            f"a measured error exceeded {DOMINANCE_SLACK} x its bound"
-        )
+        raise DominanceError("; ".join(
+            f"lambda={r.lam:g} n={r.n} {r.family}: measured error "
+            f"{r.measured_error:.6e} > {DOMINANCE_SLACK} x bound {r.bound_total:.6e}"
+            for r in records if r.exceeds_bound
+        ))
     return EXIT_OK
 
 

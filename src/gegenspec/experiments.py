@@ -22,6 +22,7 @@ from .bounds import (
     e_n_metric,
     lookup_theorem,
     minimize_bound_on_grid,
+    quad_bound,
     rho_scan_grid,
     scan_sups,
 )
@@ -50,6 +51,8 @@ __all__ = [
     "measure_interp_error",
     "measure_quad_error",
     "measure_expansion_error",
+    "scan_function",
+    "certify",
     "fit_log_slope",
     "run_nodes",
     "run_fig2",
@@ -75,6 +78,8 @@ RHO_SUP_UNIT_POLES = 1.0 + math.sqrt(2.0)
 MP_ESCALATE_BELOW = 1e-8
 DOMINANCE_SLACK = 1.25
 SLOPE_TARGET = -math.log(1.0 + math.sqrt(2.0))
+SLOPE_WINDOW = (20, 60)
+KINDS = ("diff", "interp", "quad")
 
 DEFAULT_FIG2_GRID = ((1.5, 1.8), (0.5, 1.4), (3.2, 2.0), (-0.3, 2.0))
 
@@ -209,12 +214,13 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ExperimentRecord:
-    """One (lambda, n, family) measurement row."""
+    """One (lambda, n, family) row; backend is "float64" or "mpmath"."""
 
     lam: float
     n: int
     family: str
     measured_error: float
+    backend: str
     bound_total: float
     rho_star: float
     flags: tuple
@@ -224,6 +230,11 @@ class ExperimentRecord:
             raise ValueError("measured_error must be >= 0")
         if not (math.isfinite(self.bound_total) and math.isfinite(self.rho_star)):
             raise ValueError("bound fields must be finite")
+
+    @property
+    def exceeds_bound(self) -> bool:
+        """True for a dominance violation: measured > DOMINANCE_SLACK x bound."""
+        return self.measured_error > DOMINANCE_SLACK * self.bound_total
 
 
 def _node_set(param, n, family):
@@ -274,6 +285,40 @@ def measure_expansion_error(param, fn: TestFunction, n):
     """Truncated-expansion max-grid error; escalates to mpmath."""
     err = truncated_expansion_error(param, fn.u, n)
     return _escalate(err, lambda: highprec.expansion_error_mp(param, fn.u, n))
+
+
+def scan_function(fn: TestFunction, rho_scan, samples: int):
+    """Boundary sups of fn over the rho grid of rho_scan = (lo, hi, count),
+    with hi clipped to fn.rho_sup: (rhos, sups, skipped) for certify."""
+    lo, hi, count = rho_scan
+    if fn.rho_sup is not None:
+        hi = min(hi, fn.rho_sup)
+    rhos = rho_scan_grid(lo, hi, int(count))
+    return (rhos, *scan_sups(fn.u, rhos, samples))
+
+
+def certify(fn: TestFunction, lam, n, family, kinds, scan):
+    """{kind: ExperimentRecord} of fn on the (lam, n, family) rule for each
+    kind in kinds, a subset of KINDS: the measured error and the bound of the
+    first THEOREMS entry of the kind's operator and family, minimised over
+    scan (from scan_function); quad takes the interpolation bound times h_0."""
+    measures = {"diff": measure_diff_error, "interp": measure_interp_error,
+                "quad": measure_quad_error}
+    records = {}
+    for kind in kinds:
+        measured, backend = measures[kind](lam, n, family, fn)
+        operator = "diff" if kind == "diff" else "interp"
+        which = next(tid for tid, t in THEOREMS.items()
+                     if t.kind == operator and t.family == family)
+        rho_star, bd = minimize_bound_on_grid(lam, n, which, *scan)
+        if kind == "quad":
+            bd = quad_bound(lam, bd)
+        records[kind] = ExperimentRecord(
+            lam=float(lam), n=int(n), family=family, measured_error=measured,
+            backend=backend, bound_total=bd.total, rho_star=rho_star,
+            flags=tuple(bd.flags) + (f"measured with {backend}",),
+        )
+    return records
 
 
 def fit_log_slope(ns, errors):
@@ -370,55 +415,27 @@ def run_fig2(config: ExperimentConfig):
     return rows
 
 
-def run_fig3(config: ExperimentConfig, families=(GAUSS, GAUSS_LOBATTO),
-             slope_window=(20, 60)):
-    """Bound-versus-error study for node differencing.
+def run_fig3(config: ExperimentConfig):
+    """Bound-versus-error study for node differencing on both families.
 
-    Returns (records, summary).  summary carries the per-series fitted
-    log-slope against the pole-pair target and the dominance status; any
-    record with measured > 1.25x bound marks the run as violating.
+    Returns (records, summary).  summary carries the per-series log-slope
+    fitted over SLOPE_WINDOW against the pole-pair target and the dominance
+    status; any record with measured > 1.25x bound marks the run as violating.
     """
     fn = resolve_function(config.function_id, config.rational_pole_imag)
-    lo, hi, count = config.rho_scan
-    lo = max(float(lo), 1.0)
-    hi = float(hi)
-    if fn.rho_sup is not None:
-        hi = min(hi, fn.rho_sup)
-    rhos = rho_scan_grid(lo, hi, int(count))
-    sups, skipped = scan_sups(fn.u, rhos, config.ellipse_samples)
-    records = []
-    summary = {"series": [], "dominance_ok": True, "slope_target": SLOPE_TARGET}
+    scan = scan_function(fn, config.rho_scan, config.ellipse_samples)
+    records, fits = [], []
     for lam in config.lambda_list:
-        for family in families:
-            which = next(
-                tid for tid, t in THEOREMS.items()
-                if t.kind == "diff" and t.family == family
-            )
-            errs = []
-            for n in config.n_list:
-                measured, backend = measure_diff_error(lam, n, family, fn)
-                rho_star, bd = minimize_bound_on_grid(
-                    lam, n, which, rhos, sups, skipped
-                )
-                flags = tuple(bd.flags) + (f"measured with {backend}",)
-                rec = ExperimentRecord(
-                    lam=float(lam), n=int(n), family=family,
-                    measured_error=measured, bound_total=bd.total,
-                    rho_star=rho_star, flags=flags,
-                )
-                records.append(rec)
-                errs.append(measured)
-                if measured > DOMINANCE_SLACK * bd.total:
-                    summary["dominance_ok"] = False
-            window = [
-                (n, e) for n, e in zip(config.n_list, errs)
-                if slope_window[0] <= n <= slope_window[1]
-            ]
+        for family in (GAUSS, GAUSS_LOBATTO):
+            series = [certify(fn, lam, n, family, ("diff",), scan)["diff"]
+                      for n in config.n_list]
+            records.extend(series)
+            window = [r for r in series if SLOPE_WINDOW[0] <= r.n <= SLOPE_WINDOW[1]]
             slope = (
-                fit_log_slope([p[0] for p in window], [p[1] for p in window])
+                fit_log_slope([r.n for r in window], [r.measured_error for r in window])
                 if len(window) >= 2 else None
             )
-            summary["series"].append({
+            fits.append({
                 "lambda": float(lam),
                 "family": family,
                 "function": fn.name,
@@ -429,7 +446,9 @@ def run_fig3(config: ExperimentConfig, families=(GAUSS, GAUSS_LOBATTO),
                     if slope is not None else None
                 ),
             })
-    return records, summary
+    dominance_ok = not any(r.exceeds_bound for r in records)
+    return records, {"series": fits, "dominance_ok": dominance_ok,
+                     "slope_target": SLOPE_TARGET}
 
 
 def run_bounds(param, n, rho, m_rho, theorem_id, m="auto"):

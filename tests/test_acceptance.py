@@ -22,25 +22,18 @@ import time
 import numpy as np
 import pytest
 
-from gegenspec.bounds import (
-    minimize_bound_on_grid,
-    quad_bound,
-    remainder_bound,
-    remainder_exact,
-    rho_scan_grid,
-    scan_sups,
-)
+from gegenspec.bounds import remainder_bound, remainder_exact
 from gegenspec.experiments import (
-    DOMINANCE_SLACK,
+    KINDS,
     SLOPE_TARGET,
+    SLOPE_WINDOW,
     TEST_FUNCTIONS,
     ExperimentConfig,
+    certify,
     fit_log_slope,
-    measure_diff_error,
     measure_expansion_error,
-    measure_interp_error,
-    measure_quad_error,
     run_fig2,
+    scan_function,
 )
 from gegenspec.nodes import GAUSS, GAUSS_LOBATTO, gauss_lobatto_nodes, gauss_nodes
 from gegenspec.operators import diff_matrix
@@ -180,46 +173,22 @@ def test_criterion_05_tightness_window():
 
 @pytest.fixture(scope="module")
 def study():
-    """Measured errors and scanned bounds for the full study grid."""
+    """Certified rows {kind: ExperimentRecord} for the full study grid."""
     data = {}
     for fn_id in STUDY_FUNCTIONS:
         fn = TEST_FUNCTIONS[fn_id]
-        rhos = rho_scan_grid(1.0, RHO_SUP, RHO_COUNT)
-        sups, skipped = scan_sups(fn.u, rhos, SAMPLES)
+        scan = scan_function(fn, (1.0, RHO_SUP, RHO_COUNT), SAMPLES)
         for lam in STUDY_LAMBDAS:
             for family in FAMILIES:
-                diff_which = "T42" if family == GAUSS else "T43b"
-                interp_which = "T41i" if family == GAUSS else "T43a"
-                rows = []
-                for n in STUDY_NS:
-                    diff_err, _ = measure_diff_error(lam, n, family, fn)
-                    _, diff_bd = minimize_bound_on_grid(
-                        lam, n, diff_which, rhos, sups, skipped
-                    )
-                    interp_err, _ = measure_interp_error(lam, n, family, fn)
-                    _, interp_bd = minimize_bound_on_grid(
-                        lam, n, interp_which, rhos, sups, skipped
-                    )
-                    quad_err, _ = measure_quad_error(lam, n, family, fn)
-                    rows.append({
-                        "n": n,
-                        "diff_err": diff_err,
-                        "diff_bound": diff_bd.total,
-                        "interp_err": interp_err,
-                        "interp_bound": interp_bd.total,
-                        "quad_err": quad_err,
-                        "quad_bound": quad_bound(lam, interp_bd).total,
-                    })
-                data[(fn_id, lam, family)] = rows
+                data[(fn_id, lam, family)] = [
+                    certify(fn, lam, n, family, KINDS, scan) for n in STUDY_NS
+                ]
     return data
 
 
 def test_criterion_06a_differencing_dominance(study):
-    bad = []
-    for key, rows in study.items():
-        for row in rows:
-            if row["diff_err"] > DOMINANCE_SLACK * row["diff_bound"]:
-                bad.append((key, row["n"]))
+    bad = [(key, row["diff"].n) for key, rows in study.items() for row in rows
+           if row["diff"].exceeds_bound]
     ok = not bad
     report("6a", ok, f"{sum(len(r) for r in study.values())} records, "
                      f"violations: {bad if bad else 'none'}")
@@ -229,8 +198,9 @@ def test_criterion_06a_differencing_dominance(study):
 def test_criterion_06b_differencing_log_slope(study):
     deviations = []
     for key, rows in study.items():
-        pts = [(r["n"], r["diff_err"]) for r in rows if 20 <= r["n"] <= 60]
-        slope = fit_log_slope([p[0] for p in pts], [p[1] for p in pts])
+        diffs = [row["diff"] for row in rows]
+        pts = [r for r in diffs if SLOPE_WINDOW[0] <= r.n <= SLOPE_WINDOW[1]]
+        slope = fit_log_slope([p.n for p in pts], [p.measured_error for p in pts])
         dev = abs(slope - SLOPE_TARGET) / abs(SLOPE_TARGET)
         deviations.append((key, slope, dev))
     lines = ", ".join(
@@ -245,13 +215,8 @@ def test_criterion_06b_differencing_log_slope(study):
 
 
 def test_criterion_07_interpolation_and_quadrature_dominance(study):
-    bad = []
-    for key, rows in study.items():
-        for row in rows:
-            if row["interp_err"] > DOMINANCE_SLACK * row["interp_bound"]:
-                bad.append((key, row["n"], "interp"))
-            if row["quad_err"] > DOMINANCE_SLACK * row["quad_bound"]:
-                bad.append((key, row["n"], "quad"))
+    bad = [(key, row[kind].n, kind) for key, rows in study.items() for row in rows
+           for kind in ("interp", "quad") if row[kind].exceeds_bound]
     ok = not bad
     report(7, ok, f"violations: {bad if bad else 'none'}")
     assert ok

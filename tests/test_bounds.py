@@ -8,7 +8,6 @@ from gegenspec.bounds import (
     BoundBreakdown,
     EllipseSpec,
     PoleOnContourError,
-    best_bound_over_rho,
     diff_bound_gauss,
     diff_bound_lobatto,
     e_n_metric,
@@ -22,7 +21,7 @@ from gegenspec.bounds import (
     rho_scan_grid,
     scan_sups,
 )
-from gegenspec.experiments import make_rational
+from gegenspec.experiments import TEST_FUNCTIONS, make_rational, scan_function
 from gegenspec.poly import normalized_on_ellipse
 
 RUNGE = lambda z: 1.0 / (1.0 + z * z)
@@ -303,44 +302,48 @@ class TestQuadBound:
             quad_bound(0.5, diff_bound_gauss(0.5, 10, 2.0, 1.0))
 
 
+def scan_and_minimize(param, n, u, rho_min, rho_max, count, which, samples):
+    """Scan the rho grid and minimise the bound over it."""
+    rhos = rho_scan_grid(rho_min, rho_max, count)
+    return minimize_bound_on_grid(param, n, which, rhos, *scan_sups(u, rhos, samples))
+
+
 class TestBestBoundOverRho:
     def test_minimizer_near_critical_radius(self):
-        rho_star, bd = best_bound_over_rho(
+        rho_star, bd = scan_and_minimize(
             0.5, 40, RUNGE, 1.0, RHO_SUP, 400, "T42", samples=512
         )
         assert 2.2 < rho_star < RHO_SUP
         assert bd.total > 0
 
     def test_entire_function_prefers_larger_radius(self):
-        _, small = best_bound_over_rho(0.5, 20, np.exp, 1.0, 3.0, 100, "T42", samples=256)
-        _, large = best_bound_over_rho(0.5, 20, np.exp, 1.0, 6.0, 100, "T42", samples=256)
+        _, small = scan_and_minimize(0.5, 20, np.exp, 1.0, 3.0, 100, "T42", samples=256)
+        _, large = scan_and_minimize(0.5, 20, np.exp, 1.0, 6.0, 100, "T42", samples=256)
         assert large.total < small.total
 
     def test_grid_avoids_endpoints(self):
         # a pole exactly on the rho_max ellipse is never sampled
-        rho_star, bd = best_bound_over_rho(
+        rho_star, bd = scan_and_minimize(
             0.5, 16, RUNGE, 1.0, RHO_SUP, 100, "T41i", samples=512
         )
         assert rho_star < RHO_SUP
 
     def test_branch_validation(self):
         with pytest.raises(ValueError):
-            best_bound_over_rho(0.5, 10, RUNGE, 1.0, 2.0, 50, "T41ii", samples=64)
+            scan_and_minimize(0.5, 10, RUNGE, 1.0, 2.0, 50, "T41ii", samples=64)
         with pytest.raises(ValueError):
-            best_bound_over_rho(-0.3, 10, RUNGE, 1.0, 2.0, 50, "T41i", samples=64)
+            scan_and_minimize(-0.3, 10, RUNGE, 1.0, 2.0, 50, "T41i", samples=64)
         with pytest.raises(ValueError):
-            best_bound_over_rho(0.5, 10, RUNGE, 1.0, 2.0, 50, "T99", samples=64)
+            scan_and_minimize(0.5, 10, RUNGE, 1.0, 2.0, 50, "T99", samples=64)
 
     def test_skipped_rho_flagged(self):
-        from gegenspec.bounds import rho_scan_grid
-
         # plant a pole exactly on one scanned boundary sample
         rhos = rho_scan_grid(1.0, 3.0, 200)
         spec = EllipseSpec(float(rhos[120]), 4)
         _, z = ellipse_points(spec)
         pole = complex(z[0])
         with np.errstate(divide="ignore", invalid="ignore"):
-            rho_star, bd = best_bound_over_rho(
+            rho_star, bd = scan_and_minimize(
                 0.5, 12, lambda zz: 1.0 / (zz - pole), 1.0, 3.0, 200, "T42",
                 samples=4,
             )
@@ -363,14 +366,11 @@ def _oracle_minimize(lam, n, which, rhos, sups):
 
 
 def _runge1_grid():
-    rhos = rho_scan_grid(1.0, RHO_SUP, 2000)
-    return rhos, *scan_sups(RUNGE, rhos, 2048)
+    return scan_function(TEST_FUNCTIONS["runge1"], (1.0, RHO_SUP, 2000), 2048)
 
 
 def _rational_grid():
-    fn = make_rational(0.07)
-    rhos = rho_scan_grid(1.0, min(RHO_SUP, fn.rho_sup), 2000)
-    return rhos, *scan_sups(fn.u, rhos, 2048)
+    return scan_function(make_rational(0.07), (1.0, RHO_SUP, 2000), 2048)
 
 
 def _runge1_nan_grid():

@@ -6,7 +6,7 @@ import pytest
 
 from gegenspec import cli
 from gegenspec.bounds import THEOREMS
-from gegenspec.experiments import CUSTOM_RATIONAL, TEST_FUNCTIONS, resolve_function
+from gegenspec.experiments import CUSTOM_RATIONAL, TEST_FUNCTIONS, ExperimentRecord, resolve_function
 from gegenspec.nodes import GAUSS, GAUSS_LOBATTO
 
 
@@ -162,17 +162,18 @@ class TestFig3Command:
         assert summary["dominance_ok"] is True
 
     def test_dominance_violation_exits_3(self, monkeypatch, capsys):
-        from gegenspec.experiments import ExperimentRecord
-
-        def fake_run(config, families=None, slope_window=None):
-            rec = ExperimentRecord(0.5, 8, "gauss", 1.0, 1e-6, 2.0, ())
-            return [rec], {"series": [], "dominance_ok": False,
-                           "slope_target": -0.88}
+        def fake_run(config):
+            ok = ExperimentRecord(0.5, 4, "gauss", 1e-3, "float64", 1e-2, 2.0, ())
+            bad = ExperimentRecord(0.5, 8, "gauss", 0.375, "float64", 1e-6, 2.0, ())
+            return [ok, bad], {"series": [], "dominance_ok": False, "slope_target": -0.88}
 
         monkeypatch.setattr(cli, "run_fig3", fake_run)
         code = run_cli(["fig3", "--lambda", "0.5", "--n", "8"])
         assert code == 3
-        assert "dominance" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "dominance violation: lambda=0.5 n=8 gauss: measured error "
+            "3.750000e-01 > 1.25 x bound 1.000000e-06\n"
+        )
 
 
 class TestExpansionDecayCommand:
@@ -189,6 +190,16 @@ class TestExpansionDecayCommand:
         assert 0.3 < ratio < 0.55
 
 
+# the study flags each subcommand reads, written out; any other exits 2
+READ_FLAGS = {"nodes": "--lambda --n --family", "fig2": "",
+              "fig3": "--lambda --n --rho-min --rho-max --rho-count --function",
+              "expansion-decay": "--lambda --n --function"}
+FLAG_VALUES = {"--lambda": "7", "--n": "3", "--rho-min": "1.1", "--rho-max": "2",
+               "--rho-count": "10", "--family": "gauss", "--function": "exp"}
+UNREAD_FLAGS = [(command, flag) for command, read in READ_FLAGS.items()
+                for flag in FLAG_VALUES if flag not in read.split()]
+
+
 class TestParserChoices:
     def test_choices_come_from_the_tables(self):
         subs = next(
@@ -199,12 +210,19 @@ class TestParserChoices:
             name: {a.dest: a.choices for a in sub._actions if a.choices}
             for name, sub in subs.choices.items()
         }
-        for name in ("nodes", "fig2", "fig3", "expansion-decay"):
-            assert tuple(choices[name]["function"]) == (*TEST_FUNCTIONS, CUSTOM_RATIONAL)
-            assert tuple(choices[name]["family"]) == (GAUSS, GAUSS_LOBATTO)
+        functions = (*TEST_FUNCTIONS, CUSTOM_RATIONAL)
+        assert choices["fig3"]["function"] == choices["expansion-decay"]["function"] == functions
+        assert choices["nodes"]["family"] == (GAUSS, GAUSS_LOBATTO)
         assert tuple(choices["bounds"]["theorem"]) == tuple(THEOREMS)
         for function_id in choices["fig3"]["function"]:
             resolve_function(function_id)
+
+    @pytest.mark.parametrize("command,flag", UNREAD_FLAGS)
+    def test_unread_flag_exits_2(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli([command, flag, FLAG_VALUES[flag]])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {FLAG_VALUES[flag]}" in capsys.readouterr().err
 
 
 class TestErrorPaths:

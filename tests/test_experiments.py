@@ -6,6 +6,7 @@ import pytest
 
 from gegenspec import experiments as ex
 from gegenspec import highprec
+from gegenspec.bounds import minimize_bound_on_grid, quad_bound, rho_scan_grid, scan_sups
 from gegenspec.nodes import GAUSS, GAUSS_LOBATTO
 
 
@@ -95,9 +96,9 @@ class TestFunctions:
 class TestRecord:
     def test_invariants(self):
         with pytest.raises(ValueError):
-            ex.ExperimentRecord(0.5, 8, GAUSS, -1.0, 1.0, 2.0, ())
+            ex.ExperimentRecord(0.5, 8, GAUSS, -1.0, "float64", 1.0, 2.0, ())
         with pytest.raises(ValueError):
-            ex.ExperimentRecord(0.5, 8, GAUSS, 1.0, math.inf, 2.0, ())
+            ex.ExperimentRecord(0.5, 8, GAUSS, 1.0, "float64", math.inf, 2.0, ())
 
 
 class TestMeasurement:
@@ -135,6 +136,37 @@ class TestMeasurement:
         ns = gauss_nodes(0.5, 8)
         direct = abs(math.pi / 2 - float(np.dot(ns.quad_weights, fn.u(ns.nodes))))
         assert err == pytest.approx(direct, rel=1e-6)
+
+
+class TestCertify:
+    def test_matches_explicit_sequence(self):
+        # float64 cells of 1/(x^2 + 0.07^2), with the theorem IDs written out
+        which = {("diff", GAUSS): "T42", ("diff", GAUSS_LOBATTO): "T43b",
+                 ("interp", GAUSS): "T41i", ("interp", GAUSS_LOBATTO): "T43a"}
+        fn = ex.resolve_function(ex.CUSTOM_RATIONAL, 0.07)
+        scan = ex.scan_function(fn, (1.0, ex.RHO_SUP_UNIT_POLES, 2000), 2048)
+        for lam, family, n in ((0.5, GAUSS, 48), (1.5, GAUSS_LOBATTO, 64), (3.2, GAUSS, 96)):
+            got = ex.certify(fn, lam, n, family, ex.KINDS, scan)
+            assert list(got) == list(ex.KINDS)
+            for kind in ex.KINDS:
+                err, backend = getattr(ex, f"measure_{kind}_error")(lam, n, family, fn)
+                theorem = which["diff" if kind == "diff" else "interp", family]
+                rho_star, bd = minimize_bound_on_grid(lam, n, theorem, *scan)
+                if kind == "quad":
+                    bd = quad_bound(lam, bd)
+                flags = tuple(bd.flags) + ("measured with float64",)
+                want = ex.ExperimentRecord(lam, n, family, err, "float64", bd.total,
+                                           rho_star, flags)
+                assert got[kind] == want, (lam, family, n, kind)
+
+    def test_scan_function_clips_to_rho_sup(self):
+        rational, entire = ex.make_rational(0.07), ex.TEST_FUNCTIONS["exp"]
+        assert entire.rho_sup is None
+        for fn, hi in ((rational, rational.rho_sup), (entire, 3.0)):
+            rhos, sups, skipped = ex.scan_function(fn, (1.0, 3.0, 50), 64)
+            np.testing.assert_array_equal(rhos, rho_scan_grid(1.0, hi, 50))
+            np.testing.assert_array_equal(sups, scan_sups(fn.u, rhos, 64)[0])
+            assert not skipped
 
 
 class TestSlopeFit:
@@ -201,20 +233,17 @@ class TestRunners:
             assert "c set to 1" in r.flags
 
     def test_fig3_runge2_similar_rate(self):
-        cfg1 = ex.ExperimentConfig(
-            lambda_list=(0.5,), n_list=tuple(range(20, 44, 4)),
-            rho_scan=(1.0, ex.RHO_SUP_UNIT_POLES, 100), ellipse_samples=256,
-            function_id="runge1",
-        )
-        cfg2 = ex.ExperimentConfig(
-            lambda_list=(0.5,), n_list=tuple(range(20, 44, 4)),
-            rho_scan=(1.0, ex.RHO_SUP_UNIT_POLES, 100), ellipse_samples=256,
-            function_id="runge2",
-        )
-        _, s1 = ex.run_fig3(cfg1, families=(GAUSS,), slope_window=(20, 40))
-        _, s2 = ex.run_fig3(cfg2, families=(GAUSS,), slope_window=(20, 40))
-        a = s1["series"][0]["fitted_log_slope"]
-        b = s2["series"][0]["fitted_log_slope"]
+        slopes = []
+        for function_id in ("runge1", "runge2"):
+            cfg = ex.ExperimentConfig(
+                lambda_list=(0.5,), n_list=tuple(range(20, 44, 4)),
+                rho_scan=(1.0, ex.RHO_SUP_UNIT_POLES, 100), ellipse_samples=256,
+                function_id=function_id,
+            )
+            _, summary = ex.run_fig3(cfg)
+            assert summary["series"][0]["family"] == GAUSS
+            slopes.append(summary["series"][0]["fitted_log_slope"])
+        a, b = slopes
         assert abs(a - b) < 0.1 * abs(a)
 
     def test_run_bounds_flags(self):

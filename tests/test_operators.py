@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gegenspec.bounds import best_bound_over_rho
+from gegenspec.bounds import minimize_bound_on_grid, rho_scan_grid, scan_sups
 from gegenspec.nodes import gauss_lobatto_nodes, gauss_nodes
 from gegenspec.operators import (
     diff_matrix,
@@ -41,9 +41,8 @@ class TestInterpolate:
     def test_runge_error_within_best_bound(self):
         ns = gauss_nodes(0.5, 20)
         got = interpolate(ns, RUNGE(ns.nodes), 0.5)
-        _, bd = best_bound_over_rho(
-            0.5, 20, RUNGE, 1.0, 1 + math.sqrt(2), 200, "T41i", samples=512
-        )
+        rhos = rho_scan_grid(1.0, 1 + math.sqrt(2), 200)
+        _, bd = minimize_bound_on_grid(0.5, 20, "T41i", rhos, *scan_sups(RUNGE, rhos, 512))
         assert abs(got - RUNGE(0.5)) <= bd.total
 
     @pytest.mark.parametrize("lam", LAM_GRID)

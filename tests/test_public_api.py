@@ -6,7 +6,7 @@ import gegenspec
 
 MODULES = ("special", "poly", "nodes", "operators", "bounds", "experiments", "highprec")
 
-# helpers and scalar twins that no code path used; they must stay gone
+# unused helpers, scalar twins and replaced shortcuts; they must stay gone
 REMOVED = (
     "ln_gamma",
     "g_coeff",
@@ -17,6 +17,7 @@ REMOVED = (
     "ellipse_axes",
     "interval_distance",
     "perimeter_estimate",
+    "best_bound_over_rho",
 )
 
 
