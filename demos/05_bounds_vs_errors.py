@@ -18,7 +18,7 @@ fn = TEST_FUNCTIONS["runge1"]
 lam = 0.5
 
 # the sup of |u| on each candidate ellipse depends only on rho: scan once
-scan = scan_function(fn, (1.0, RHO_SUP_UNIT_POLES, 2000), 2048)
+scan = scan_function(fn, (1.0, RHO_SUP_UNIT_POLES, 2000))
 
 print("Gauss differencing of 1/(1+x^2), lambda = 0.5")
 print("  n    measured error   scanned bound    rho*     bound/error")

@@ -17,10 +17,10 @@ from .experiments import (
     FIG3_HEADER,
     NODES_HEADER,
     TEST_FUNCTIONS,
-    ConfigError,
     DominanceError,
     ExperimentConfig,
     format_rows,
+    row_dicts,
     run_bounds,
     run_expansion_decay,
     run_fig2,
@@ -35,15 +35,39 @@ EXIT_DOMINANCE = 3
 EXIT_IO = 4
 
 
-# the study flags; each subcommand below takes only those it reads
-_STUDY_FLAGS = {
-    "--lambda": dict(dest="lambda_", type=float, action="append",
-                     help="family index (repeatable)"),
-    "--n": dict(type=int, action="append", help="degree (repeatable)"),
-    "--rho-min": dict(type=float), "--rho-max": dict(type=float),
-    "--rho-count": dict(type=int),
-    "--family": dict(choices=(GAUSS, GAUSS_LOBATTO)),
-    "--function": dict(choices=(*TEST_FUNCTIONS, CUSTOM_RATIONAL)),
+class _RhoScanEntry(argparse.Action):
+    """Sets entry `const` of rho_scan; the other entries keep their defaults."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        scan = list(namespace.rho_scan or ExperimentConfig.rho_scan)
+        scan[self.const] = value
+        namespace.rho_scan = tuple(scan)
+
+
+# the flags that set each ExperimentConfig field; each flag's dest is its field
+_FIELD_FLAGS = {
+    "lambda_list": {"--lambda": dict(type=float, action="append",
+                                     help="family index (repeatable)")},
+    "n_list": {"--n": dict(type=int, action="append", help="degree (repeatable)")},
+    "rho_scan": {
+        "--rho-min": dict(type=float, action=_RhoScanEntry, const=0, metavar="MIN"),
+        "--rho-max": dict(type=float, action=_RhoScanEntry, const=1, metavar="MAX"),
+        "--rho-count": dict(type=int, action=_RhoScanEntry, const=2, metavar="COUNT"),
+    },
+    "node_family": {"--family": dict(choices=(GAUSS, GAUSS_LOBATTO))},
+    "function_id": {"--function": dict(choices=(*TEST_FUNCTIONS, CUSTOM_RATIONAL))},
+}
+
+# each study subcommand and the ExperimentConfig fields it reads: its flags
+# and the keys its --config file may set both come from this table
+STUDIES = {
+    "nodes": ("dump node/weight tables", ("lambda_list", "n_list", "node_family")),
+    "fig2": ("large-n tightness study of the normalized boundary series",
+             ("fig2_grid",)),
+    "fig3": ("node-differencing error versus scanned bound",
+             ("lambda_list", "n_list", "rho_scan", "function_id", "rational_pole_imag")),
+    "expansion-decay": ("truncated-expansion decay study",
+                        ("lambda_list", "n_list", "function_id", "rational_pole_imag")),
 }
 
 
@@ -54,20 +78,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "certified exponential-accuracy bounds",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, blurb, flags in (
-        ("nodes", "dump node/weight tables", ("--lambda", "--n", "--family")),
-        ("fig2", "large-n tightness study of the normalized boundary series", ()),
-        ("fig3", "node-differencing error versus scanned bound",
-         ("--lambda", "--n", "--rho-min", "--rho-max", "--rho-count", "--function")),
-        ("expansion-decay", "truncated-expansion decay study",
-         ("--lambda", "--n", "--function")),
-    ):
+    for name, (blurb, fields) in STUDIES.items():
         sub = subs.add_parser(name, help=blurb)
-        sub.add_argument("--config", help="JSON file matching ExperimentConfig")
-        for flag in flags:
-            sub.add_argument(flag, **_STUDY_FLAGS[flag])
+        sub.add_argument("--config", help="JSON file setting some of: " + ", ".join(fields))
+        for field in fields:
+            for flag, spec in _FIELD_FLAGS.get(field, {}).items():
+                sub.add_argument(flag, dest=field, **spec)
         sub.add_argument("--out", help="output path (default: stdout)")
-        sub.add_argument("--format", choices=("csv", "json"))
+        sub.add_argument("--format", choices=("csv", "json"), default="csv")
     b = subs.add_parser("bounds", help="print one itemized bound as JSON")
     b.add_argument("--lambda", dest="lambda_", type=float, required=True)
     b.add_argument("--n", type=int, required=True)
@@ -82,21 +100,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> ExperimentConfig:
-    flags = vars(args)
-    overrides = {
-        "lambda_list": tuple(flags["lambda_"]) if flags.get("lambda_") else None,
-        "n_list": tuple(flags["n"]) if flags.get("n") else None,
-        "node_family": flags.get("family"),
-        "function_id": flags.get("function"),
-        "output_path": args.out,
-        "format": args.format,
-    }
-    rho = [flags.get(key) for key in ("rho_min", "rho_max", "rho_count")]
-    if rho != [None, None, None]:
-        base = ExperimentConfig.__dataclass_fields__["rho_scan"].default
-        overrides["rho_scan"] = tuple(b if v is None else v for v, b in zip(rho, base))
+    keys = STUDIES[args.command][1]
+    overrides = {key: getattr(args, key, None) for key in keys}
     if args.config:
-        return ExperimentConfig.from_json(args.config, **overrides)
+        return ExperimentConfig.from_json(args.config, keys, **overrides)
     return ExperimentConfig(**{k: v for k, v in overrides.items() if v is not None})
 
 
@@ -109,31 +116,29 @@ def _emit(text: str, path) -> None:
 
 
 def _cmd_nodes(args) -> int:
-    config = _load_config(args)
-    blocks = run_nodes(config)
-    ext = config.format
-    if config.output_path and len(blocks) > 1:
-        root = config.output_path
-        stem = root[:-4] if root.endswith(f".{ext}") else root
+    blocks = run_nodes(_load_config(args))
+    ext = args.format
+    if args.out and len(blocks) > 1:
+        stem = args.out[:-4] if args.out.endswith(f".{ext}") else args.out
         for meta, rows in blocks:
             path = f"{stem}_{meta['family']}_lam{meta['lambda']:g}_n{meta['n']}.{ext}"
             _emit(format_rows(NODES_HEADER, rows, ext), path)
-        return EXIT_OK
-    pieces = []
-    for meta, rows in blocks:
-        if len(blocks) > 1 and ext == "csv":
-            pieces.append(
-                f"# family={meta['family']} lambda={meta['lambda']:g} n={meta['n']}\n"
-            )
-        pieces.append(format_rows(NODES_HEADER, rows, ext))
-    _emit("".join(pieces), config.output_path)
+    elif len(blocks) == 1:
+        _emit(format_rows(NODES_HEADER, blocks[0][1], ext), args.out)
+    elif ext == "json":
+        tables = [{**meta, "rows": row_dicts(NODES_HEADER, rows)} for meta, rows in blocks]
+        _emit(json.dumps(tables, indent=2, sort_keys=True) + "\n", args.out)
+    else:
+        _emit("".join(
+            f"# family={meta['family']} lambda={meta['lambda']:g} n={meta['n']}\n"
+            + format_rows(NODES_HEADER, rows, ext) for meta, rows in blocks
+        ), args.out)
     return EXIT_OK
 
 
 def _cmd_fig2(args) -> int:
-    config = _load_config(args)
-    rows = run_fig2(config)
-    _emit(format_rows(FIG2_HEADER, rows, config.format), config.output_path)
+    rows = run_fig2(_load_config(args))
+    _emit(format_rows(FIG2_HEADER, rows, args.format), args.out)
     sys.stderr.write(
         "note: the lower envelope factor 0.1/n is a harness guard for the "
         "observed behavior, not a certified bound\n"
@@ -142,21 +147,19 @@ def _cmd_fig2(args) -> int:
 
 
 def _cmd_fig3(args) -> int:
-    config = _load_config(args)
-    records, summary = run_fig3(config)
+    records, summary = run_fig3(_load_config(args))
     rows = [
         (r.lam, r.n, r.family, r.measured_error, r.bound_total, r.rho_star,
          ";".join(r.flags))
         for r in records
     ]
-    table_text = format_rows(FIG3_HEADER, rows, config.format)
+    table_text = format_rows(FIG3_HEADER, rows, args.format)
     summary_text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    if config.output_path:
-        _emit(table_text, config.output_path)
-        _emit(summary_text, config.output_path + ".summary.json")
+    if args.out:
+        _emit(table_text, args.out)
+        _emit(summary_text, args.out + ".summary.json")
     else:
-        sys.stdout.write(table_text)
-        sys.stdout.write(summary_text)
+        _emit(table_text + summary_text, None)
     if not summary["dominance_ok"]:
         raise DominanceError("; ".join(
             f"lambda={r.lam:g} n={r.n} {r.family}: measured error "
@@ -178,13 +181,10 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_expansion_decay(args) -> int:
     config = _load_config(args)
-    rows = []
-    for lam in config.lambda_list:
-        rows.extend(
-            run_expansion_decay(lam, config.function_id, config.n_list,
-                                pole_imag=config.rational_pole_imag)
-        )
-    _emit(format_rows(DECAY_HEADER, rows, config.format), config.output_path)
+    rows = [row for lam in config.lambda_list
+            for row in run_expansion_decay(lam, config.function_id, config.n_list,
+                                           pole_imag=config.rational_pole_imag)]
+    _emit(format_rows(DECAY_HEADER, rows, args.format), args.out)
     return EXIT_OK
 
 
@@ -201,7 +201,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG
     except DominanceError as exc:

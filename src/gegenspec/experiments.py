@@ -10,6 +10,7 @@ certified bound keeps shrinking.
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -43,6 +44,7 @@ __all__ = [
     "TEST_FUNCTIONS",
     "CUSTOM_RATIONAL",
     "DEFAULT_FIG2_GRID",
+    "ELLIPSE_SAMPLES",
     "RHO_SUP_UNIT_POLES",
     "TestFunction",
     "make_rational",
@@ -61,6 +63,7 @@ __all__ = [
     "run_expansion_decay",
     "format_csv",
     "format_rows",
+    "row_dicts",
 ]
 
 
@@ -82,6 +85,8 @@ SLOPE_WINDOW = (20, 60)
 KINDS = ("diff", "interp", "quad")
 
 DEFAULT_FIG2_GRID = ((1.5, 1.8), (0.5, 1.4), (3.2, 2.0), (-0.3, 2.0))
+# boundary points per ellipse in every sampled sup M_rho and in E_n
+ELLIPSE_SAMPLES = 2048
 
 
 def _is_mp(x):
@@ -155,23 +160,53 @@ def resolve_function(function_id: str, pole_imag: float = 0.8) -> TestFunction:
     raise ConfigError(f"unknown function id {function_id!r}")
 
 
+def _is_real(v):
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _is_int(v):
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_pair(v):
+    return isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_real, v))
+
+
+def _as_tuple(key, value, is_item, what):
+    """value as a tuple if it is a list or tuple of items passing is_item,
+    else ConfigError naming key."""
+    if not isinstance(value, (list, tuple)) or not all(map(is_item, value)):
+        raise ConfigError(f"{key} must be a list of {what}, got {value!r}")
+    return tuple(value)
+
+
 @dataclass
 class ExperimentConfig:
-    """Study configuration; JSON-loadable, with CLI flag overrides."""
+    """Study configuration; JSON-loadable, with CLI flag overrides.  List
+    fields are checked and stored as tuples."""
 
     lambda_list: tuple = (0.5, 1.5)
     n_list: tuple = tuple(range(8, 68, 4))
     rho_scan: tuple = (1.0, RHO_SUP_UNIT_POLES, 2000)
-    ellipse_samples: int = 2048
     function_id: str = "runge1"
     node_family: str = GAUSS
-    output_path: str | None = None
-    format: str = "csv"
     fig2_grid: tuple = DEFAULT_FIG2_GRID
-    fig2_n_count: int = 20
     rational_pole_imag: float = 0.8
 
     def __post_init__(self):
+        self.lambda_list = _as_tuple("lambda_list", self.lambda_list, _is_real, "numbers")
+        self.n_list = _as_tuple("n_list", self.n_list, _is_int, "integers")
+        self.rho_scan = _as_tuple("rho_scan", self.rho_scan, _is_real, "numbers")
+        if len(self.rho_scan) != 3 or not _is_int(self.rho_scan[2]):
+            raise ConfigError(f"rho_scan must be [min, max, integer count], "
+                              f"got {list(self.rho_scan)}")
+        self.fig2_grid = tuple(map(tuple, _as_tuple(
+            "fig2_grid", self.fig2_grid, _is_pair, "[lambda, rho] pairs")))
+        if not _is_real(self.rational_pole_imag):
+            raise ConfigError(f"rational_pole_imag must be a number, "
+                              f"got {self.rational_pole_imag!r}")
+        if not isinstance(self.function_id, str):
+            raise ConfigError(f"function_id must be a string, got {self.function_id!r}")
         if not self.lambda_list:
             raise ConfigError("lambda_list must be nonempty")
         for lam in self.lambda_list:
@@ -186,29 +221,25 @@ class ExperimentConfig:
         lo, hi, count = self.rho_scan
         if not (1.0 < hi and lo >= 1.0 and lo < hi):
             raise ConfigError("rho_scan must satisfy 1 <= min < max")
-        if int(count) < 2:
+        if count < 2:
             raise ConfigError("rho_scan count must be >= 2")
         if self.node_family not in (GAUSS, GAUSS_LOBATTO):
             raise ConfigError(f"unknown node family {self.node_family!r}")
-        if self.format not in ("csv", "json"):
-            raise ConfigError(f"format must be csv or json, got {self.format!r}")
-        if self.ellipse_samples < 4:
-            raise ConfigError("ellipse_samples must be >= 4")
         resolve_function(self.function_id, self.rational_pole_imag)
 
     @classmethod
-    def from_json(cls, path: str, **overrides) -> "ExperimentConfig":
+    def from_json(cls, path: str, keys, **overrides) -> "ExperimentConfig":
+        """The config of the JSON object at path, which may set only the
+        fields named in keys; overrides that are not None win over it."""
         with open(path) as fh:
             data = json.load(fh)
-        unknown = set(data) - set(cls.__dataclass_fields__)
+        if not isinstance(data, dict):
+            raise ConfigError(f"config must be a JSON object, got {data!r}")
+        unknown = sorted(set(data) - set(keys))
         if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+            raise ConfigError(f"config keys {unknown} not accepted; "
+                              f"accepted keys: {', '.join(keys)}")
         data.update({k: v for k, v in overrides.items() if v is not None})
-        for key in ("lambda_list", "n_list", "rho_scan"):
-            if key in data:
-                data[key] = tuple(data[key])
-        if "fig2_grid" in data:
-            data["fig2_grid"] = tuple(tuple(p) for p in data["fig2_grid"])
         return cls(**data)
 
 
@@ -287,14 +318,14 @@ def measure_expansion_error(param, fn: TestFunction, n):
     return _escalate(err, lambda: highprec.expansion_error_mp(param, fn.u, n))
 
 
-def scan_function(fn: TestFunction, rho_scan, samples: int):
+def scan_function(fn: TestFunction, rho_scan):
     """Boundary sups of fn over the rho grid of rho_scan = (lo, hi, count),
     with hi clipped to fn.rho_sup: (rhos, sups, skipped) for certify."""
     lo, hi, count = rho_scan
     if fn.rho_sup is not None:
         hi = min(hi, fn.rho_sup)
     rhos = rho_scan_grid(lo, hi, int(count))
-    return (rhos, *scan_sups(fn.u, rhos, samples))
+    return (rhos, *scan_sups(fn.u, rhos, ELLIPSE_SAMPLES))
 
 
 def certify(fn: TestFunction, lam, n, family, kinds, scan):
@@ -353,20 +384,24 @@ def format_csv(header, rows) -> str:
     return buf.getvalue()
 
 
+def row_dicts(header, rows) -> list:
+    """The rows as JSON-ready dicts keyed by header."""
+    return [
+        {
+            key: (int(cell) if isinstance(cell, (int, np.integer))
+                  else cell if isinstance(cell, str) else float(cell))
+            for key, cell in zip(header, row)
+        }
+        for row in rows
+    ]
+
+
 def format_rows(header, rows, fmt: str) -> str:
     """CSV or JSON rendering of the same tabular rows."""
     if fmt == "csv":
         return format_csv(header, rows)
     if fmt == "json":
-        out = [
-            {
-                key: (int(cell) if isinstance(cell, (int, np.integer))
-                      else cell if isinstance(cell, str) else float(cell))
-                for key, cell in zip(header, row)
-            }
-            for row in rows
-        ]
-        return json.dumps(out, indent=2, sort_keys=True) + "\n"
+        return json.dumps(row_dicts(header, rows), indent=2, sort_keys=True) + "\n"
     raise ConfigError(f"unknown format {fmt!r}")
 
 
@@ -393,24 +428,19 @@ def run_nodes(config: ExperimentConfig):
     return blocks
 
 
-def fig2_n_values(count: int = 20) -> list:
-    """Log-spaced degrees on [1e3, 1e4]."""
-    return sorted(set(int(round(v)) for v in np.logspace(3, 4, count)))
+def fig2_n_values() -> list:
+    """20 log-spaced degrees on [1e3, 1e4]."""
+    return sorted(set(int(round(v)) for v in np.logspace(3, 4, 20)))
 
 
 def run_fig2(config: ExperimentConfig):
-    """Tightness rows (lambda, rho, n, E_n, n^-0.9, n^-1) for the config grid."""
-    for lam, _ in config.fig2_grid:
-        if float(lam) == 1.0:
-            raise ConfigError(
-                "lambda = 1 has a degenerate normalization (A = 0) and cannot "
-                "appear in the tightness study"
-            )
-    ns = fig2_n_values(config.fig2_n_count)
+    """Tightness rows (lambda, rho, n, E_n, n^-0.9, n^-1) for the config grid;
+    lambda = 1 raises ValueError (e_n_metric's normalization degenerates)."""
+    ns = fig2_n_values()
     rows = []
     for lam, rho in config.fig2_grid:
         for n in ns:
-            e = e_n_metric(lam, n, EllipseSpec(rho, config.ellipse_samples))
+            e = e_n_metric(lam, n, EllipseSpec(rho, ELLIPSE_SAMPLES))
             rows.append((lam, rho, n, e, n ** -0.9, 1.0 / n))
     return rows
 
@@ -423,7 +453,7 @@ def run_fig3(config: ExperimentConfig):
     status; any record with measured > 1.25x bound marks the run as violating.
     """
     fn = resolve_function(config.function_id, config.rational_pole_imag)
-    scan = scan_function(fn, config.rho_scan, config.ellipse_samples)
+    scan = scan_function(fn, config.rho_scan)
     records, fits = [], []
     for lam in config.lambda_list:
         for family in (GAUSS, GAUSS_LOBATTO):

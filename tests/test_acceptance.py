@@ -47,7 +47,6 @@ STUDY_FUNCTIONS = ("runge1", "runge2")
 FAMILIES = (GAUSS, GAUSS_LOBATTO)
 RHO_SUP = 1.0 + math.sqrt(2.0)
 RHO_COUNT = 2000
-SAMPLES = 2048
 
 
 def report(num, ok, detail=""):
@@ -158,7 +157,7 @@ def test_criterion_04_remainder_dominance():
 
 def test_criterion_05_tightness_window():
     start = time.monotonic()
-    rows = run_fig2(ExperimentConfig(ellipse_samples=SAMPLES))
+    rows = run_fig2(ExperimentConfig())
     elapsed = time.monotonic() - start
     bad = [
         (lam, rho, n)
@@ -177,7 +176,7 @@ def study():
     data = {}
     for fn_id in STUDY_FUNCTIONS:
         fn = TEST_FUNCTIONS[fn_id]
-        scan = scan_function(fn, (1.0, RHO_SUP, RHO_COUNT), SAMPLES)
+        scan = scan_function(fn, (1.0, RHO_SUP, RHO_COUNT))
         for lam in STUDY_LAMBDAS:
             for family in FAMILIES:
                 data[(fn_id, lam, family)] = [

@@ -366,11 +366,11 @@ def _oracle_minimize(lam, n, which, rhos, sups):
 
 
 def _runge1_grid():
-    return scan_function(TEST_FUNCTIONS["runge1"], (1.0, RHO_SUP, 2000), 2048)
+    return scan_function(TEST_FUNCTIONS["runge1"], (1.0, RHO_SUP, 2000))
 
 
 def _rational_grid():
-    return scan_function(make_rational(0.07), (1.0, RHO_SUP, 2000), 2048)
+    return scan_function(make_rational(0.07), (1.0, RHO_SUP, 2000))
 
 
 def _runge1_nan_grid():

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 
@@ -6,8 +7,17 @@ import pytest
 
 from gegenspec import cli
 from gegenspec.bounds import THEOREMS
-from gegenspec.experiments import CUSTOM_RATIONAL, TEST_FUNCTIONS, ExperimentRecord, resolve_function
+from gegenspec.experiments import (
+    CUSTOM_RATIONAL,
+    TEST_FUNCTIONS,
+    ExperimentConfig,
+    ExperimentRecord,
+    resolve_function,
+)
 from gegenspec.nodes import GAUSS, GAUSS_LOBATTO
+
+
+RHO_SUP_S03 = 0.3 + math.sqrt(1.09)
 
 
 def run_cli(argv):
@@ -62,6 +72,16 @@ class TestNodesCommand:
         assert len(rows) == 2
         assert rows[0]["node"] == pytest.approx(-1 / math.sqrt(3), rel=1e-14)
         assert set(rows[0]) == {"j", "node", "quad_weight", "bary_weight"}
+
+    def test_json_format_two_tables(self, capsys):
+        code = run_cli(["nodes", "--lambda", "0.5", "--n", "1", "--n", "2",
+                        "--format", "json"])
+        assert code == 0
+        tables = json.loads(capsys.readouterr().out)
+        assert [(t["family"], t["lambda"], t["n"]) for t in tables] == [
+            ("gauss", 0.5, 1), ("gauss", 0.5, 2)]
+        assert [len(t["rows"]) for t in tables] == [2, 3]
+        assert tables[1]["rows"][1]["node"] == pytest.approx(0.0, abs=1e-15)
 
 
 class TestBoundsCommand:
@@ -128,18 +148,16 @@ class TestFig2Command:
     def test_rows_and_header(self, tmp_path):
         out = tmp_path / "fig2.csv"
         cfgp = tmp_path / "cfg.json"
-        cfgp.write_text(json.dumps({
-            "fig2_grid": [[0.5, 1.4]], "fig2_n_count": 3, "ellipse_samples": 256,
-        }))
+        cfgp.write_text(json.dumps({"fig2_grid": [[0.5, 1.4]]}))
         code = run_cli(["fig2", "--config", str(cfgp), "--out", str(out)])
         assert code == 0
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "lambda,rho,n,E_n,n_pow_minus09,n_pow_minus1"
-        assert len(lines) == 4
+        assert len(lines) == 21
 
     def test_lam_one_exits_2(self, tmp_path, capsys):
         cfgp = tmp_path / "cfg.json"
-        cfgp.write_text(json.dumps({"fig2_grid": [[1.0, 1.4]], "fig2_n_count": 3}))
+        cfgp.write_text(json.dumps({"fig2_grid": [[1.0, 1.4]]}))
         code = run_cli(["fig2", "--config", str(cfgp)])
         assert code == 2
         assert "degenerate" in capsys.readouterr().err
@@ -151,7 +169,7 @@ class TestFig3Command:
         cfgp = tmp_path / "cfg.json"
         cfgp.write_text(json.dumps({
             "lambda_list": [0.5], "n_list": [8, 12],
-            "rho_scan": [1.0, 2.414, 50], "ellipse_samples": 128,
+            "rho_scan": [1.0, 2.414, 50],
         }))
         code = run_cli(["fig3", "--config", str(cfgp), "--out", str(out)])
         assert code == 0
@@ -176,6 +194,18 @@ class TestFig3Command:
         )
 
 
+    def test_pole_height_from_config(self, tmp_path):
+        # 1/(x^2 + 0.3^2) is analytic only inside rho < 0.3 + sqrt(1.09)
+        out, cfgp = tmp_path / "fig3.csv", tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({"rational_pole_imag": 0.3}))
+        code = run_cli(["fig3", "--config", str(cfgp), "--function", CUSTOM_RATIONAL,
+                        "--lambda", "0.5", "--n", "8", "--n", "16", "--out", str(out)])
+        assert code == 0
+        rows = out.read_text().strip().splitlines()[1:]
+        assert len(rows) == 4
+        assert all(1.0 < float(row.split(",")[5]) < RHO_SUP_S03 for row in rows)
+
+
 class TestExpansionDecayCommand:
     def test_rows(self, capsys):
         code = run_cli(["expansion-decay", "--lambda", "0.5",
@@ -188,6 +218,16 @@ class TestExpansionDecayCommand:
         assert len(lines) == 4
         ratio = float(lines[1].split(",")[2])
         assert 0.3 < ratio < 0.55
+
+
+    def test_pole_height_from_config(self, tmp_path, capsys):
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({"rational_pole_imag": 0.3}))
+        code = run_cli(["expansion-decay", "--config", str(cfgp), "--function",
+                        CUSTOM_RATIONAL, "--lambda", "0.5", "--n", "8", "--n", "16"])
+        assert code == 0
+        ratio = float(capsys.readouterr().out.strip().splitlines()[1].split(",")[2])
+        assert ratio == pytest.approx(1 / RHO_SUP_S03, rel=0.1)
 
 
 # the study flags each subcommand reads, written out; any other exits 2
@@ -211,10 +251,11 @@ class TestParserChoices:
             for name, sub in subs.choices.items()
         }
         functions = (*TEST_FUNCTIONS, CUSTOM_RATIONAL)
-        assert choices["fig3"]["function"] == choices["expansion-decay"]["function"] == functions
-        assert choices["nodes"]["family"] == (GAUSS, GAUSS_LOBATTO)
+        assert (choices["fig3"]["function_id"] == choices["expansion-decay"]["function_id"]
+                == functions)
+        assert choices["nodes"]["node_family"] == (GAUSS, GAUSS_LOBATTO)
         assert tuple(choices["bounds"]["theorem"]) == tuple(THEOREMS)
-        for function_id in choices["fig3"]["function"]:
+        for function_id in choices["fig3"]["function_id"]:
             resolve_function(function_id)
 
     @pytest.mark.parametrize("command,flag", UNREAD_FLAGS)
@@ -223,6 +264,77 @@ class TestParserChoices:
             run_cli([command, flag, FLAG_VALUES[flag]])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} {FLAG_VALUES[flag]}" in capsys.readouterr().err
+
+
+# the ExperimentConfig fields each subcommand reads, written out
+CONFIG_READS = {
+    "nodes": {"lambda_list", "n_list", "node_family"},
+    "fig2": {"fig2_grid"},
+    "fig3": {"lambda_list", "n_list", "rho_scan", "function_id", "rational_pole_imag"},
+    "expansion-decay": {"lambda_list", "n_list", "function_id", "rational_pole_imag"},
+}
+# a small non-default value of every field
+CONFIG_VALUES = {
+    "lambda_list": [1.5], "n_list": [4, 6], "rho_scan": [1.0, 2.0, 20],
+    "function_id": CUSTOM_RATIONAL, "node_family": GAUSS_LOBATTO,
+    "fig2_grid": [[0.5, 1.4]], "rational_pole_imag": 0.5,
+}
+# keys of earlier config files, now constants or plain --out / --format
+RETIRED_KEYS = {"ellipse_samples": 2048, "fig2_n_count": 20,
+                "output_path": "x.csv", "format": "csv"}
+UNREAD_KEYS = [(command, key) for command, read in CONFIG_READS.items()
+               for key in (*CONFIG_VALUES, *RETIRED_KEYS) if key not in read]
+
+
+def write_config(tmp_path, data):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+class TestConfigKeys:
+    def test_every_field_is_read(self):
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert fields == set(CONFIG_VALUES)
+        assert set().union(*CONFIG_READS.values()) == fields
+
+    @pytest.mark.parametrize("command", list(CONFIG_READS))
+    def test_read_fields_are_accepted(self, command, tmp_path, monkeypatch):
+        loaded, load = [], cli._load_config
+        monkeypatch.setattr(cli, "_load_config",
+                            lambda args: loaded.append(load(args)) or loaded[-1])
+        values = {key: CONFIG_VALUES[key] for key in CONFIG_READS[command]}
+        code = run_cli([command, "--config", write_config(tmp_path, values),
+                        "--out", str(tmp_path / "out.csv")])
+        assert code == 0
+        assert loaded == [ExperimentConfig(**values)]
+
+    @pytest.mark.parametrize("command,key", UNREAD_KEYS)
+    def test_unread_key_exits_2(self, command, key, tmp_path, capsys):
+        values = {k: CONFIG_VALUES[k] for k in CONFIG_READS[command]}
+        values[key] = {**CONFIG_VALUES, **RETIRED_KEYS}[key]
+        code = run_cli([command, "--config", write_config(tmp_path, values)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(key) in err
+
+    @pytest.mark.parametrize("command,data,key", [
+        ("fig3", {"n_list": 5}, "n_list"),
+        ("nodes", {"n_list": [4.5]}, "n_list"),
+        ("nodes", {"lambda_list": "0.5"}, "lambda_list"),
+        ("fig3", {"rho_scan": [1.0, 2.0, 2.5]}, "rho_scan"),
+        ("fig2", {"fig2_grid": [[0.5]]}, "fig2_grid"),
+        ("fig3", {"rational_pole_imag": "0.3"}, "rational_pole_imag"),
+        ("fig3", {"function_id": ["runge1"]}, "function_id"),
+        ("nodes", ["n_list"], "JSON object"),
+    ])
+    def test_malformed_value_exits_2(self, command, data, key, tmp_path, capsys):
+        code = run_cli([command, "--config", write_config(tmp_path, data)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert key in err
 
 
 class TestErrorPaths:

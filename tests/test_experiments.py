@@ -9,6 +9,8 @@ from gegenspec import highprec
 from gegenspec.bounds import minimize_bound_on_grid, quad_bound, rho_scan_grid, scan_sups
 from gegenspec.nodes import GAUSS, GAUSS_LOBATTO
 
+FIG3_KEYS = ("lambda_list", "n_list", "rho_scan", "function_id", "rational_pole_imag")
+
 
 class TestConfig:
     def test_defaults_valid(self):
@@ -40,28 +42,34 @@ class TestConfig:
         with pytest.raises(ex.ConfigError):
             ex.ExperimentConfig(node_family="chebyshev")
 
+    def test_lists_stored_as_tuples(self):
+        cfg = ex.ExperimentConfig(lambda_list=[0.5], n_list=[4], rho_scan=[1.0, 2.0, 9],
+                                  fig2_grid=[[0.5, 1.4]])
+        assert (cfg.lambda_list, cfg.n_list, cfg.rho_scan, cfg.fig2_grid) == (
+            (0.5,), (4,), (1.0, 2.0, 9), ((0.5, 1.4),))
+
     def test_json_round_trip(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({
             "lambda_list": [0.5],
             "n_list": [8, 12],
             "rho_scan": [1.0, 2.4, 50],
-            "ellipse_samples": 256,
             "function_id": "runge2",
         }))
-        cfg = ex.ExperimentConfig.from_json(str(path))
+        cfg = ex.ExperimentConfig.from_json(str(path), FIG3_KEYS)
         assert cfg.lambda_list == (0.5,) and cfg.function_id == "runge2"
+        assert cfg.n_list == (8, 12) and cfg.rho_scan == (1.0, 2.4, 50)
 
     def test_json_unknown_key(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"lambda": 0.5}))
-        with pytest.raises(ex.ConfigError):
-            ex.ExperimentConfig.from_json(str(path))
+        with pytest.raises(ex.ConfigError, match="'lambda'"):
+            ex.ExperimentConfig.from_json(str(path), FIG3_KEYS)
 
     def test_overrides_win(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"function_id": "runge1"}))
-        cfg = ex.ExperimentConfig.from_json(str(path), function_id="exp")
+        cfg = ex.ExperimentConfig.from_json(str(path), FIG3_KEYS, function_id="exp")
         assert cfg.function_id == "exp"
 
 
@@ -144,7 +152,7 @@ class TestCertify:
         which = {("diff", GAUSS): "T42", ("diff", GAUSS_LOBATTO): "T43b",
                  ("interp", GAUSS): "T41i", ("interp", GAUSS_LOBATTO): "T43a"}
         fn = ex.resolve_function(ex.CUSTOM_RATIONAL, 0.07)
-        scan = ex.scan_function(fn, (1.0, ex.RHO_SUP_UNIT_POLES, 2000), 2048)
+        scan = ex.scan_function(fn, (1.0, ex.RHO_SUP_UNIT_POLES, 2000))
         for lam, family, n in ((0.5, GAUSS, 48), (1.5, GAUSS_LOBATTO, 64), (3.2, GAUSS, 96)):
             got = ex.certify(fn, lam, n, family, ex.KINDS, scan)
             assert list(got) == list(ex.KINDS)
@@ -163,9 +171,10 @@ class TestCertify:
         rational, entire = ex.make_rational(0.07), ex.TEST_FUNCTIONS["exp"]
         assert entire.rho_sup is None
         for fn, hi in ((rational, rational.rho_sup), (entire, 3.0)):
-            rhos, sups, skipped = ex.scan_function(fn, (1.0, 3.0, 50), 64)
+            rhos, sups, skipped = ex.scan_function(fn, (1.0, 3.0, 50))
             np.testing.assert_array_equal(rhos, rho_scan_grid(1.0, hi, 50))
-            np.testing.assert_array_equal(sups, scan_sups(fn.u, rhos, 64)[0])
+            want = scan_sups(fn.u, rhos, ex.ELLIPSE_SAMPLES)[0]
+            np.testing.assert_array_equal(sups, want)
             assert not skipped
 
 
@@ -190,9 +199,9 @@ class TestCsv:
         assert text.splitlines()[1] == "12,0.5"
 
     def test_deterministic(self):
-        rows = ex.run_fig2(ex.ExperimentConfig(fig2_n_count=4, ellipse_samples=128))
+        rows = ex.run_fig2(ex.ExperimentConfig())
         a = ex.format_csv(ex.FIG2_HEADER, rows)
-        rows2 = ex.run_fig2(ex.ExperimentConfig(fig2_n_count=4, ellipse_samples=128))
+        rows2 = ex.run_fig2(ex.ExperimentConfig())
         b = ex.format_csv(ex.FIG2_HEADER, rows2)
         assert a == b
 
@@ -209,12 +218,12 @@ class TestRunners:
         assert rows[1][1] == pytest.approx(0.0, abs=1e-15)
 
     def test_fig2_rejects_lam_one(self):
-        cfg = ex.ExperimentConfig(fig2_grid=((1.0, 1.4),), fig2_n_count=3)
-        with pytest.raises(ex.ConfigError):
+        cfg = ex.ExperimentConfig(fig2_grid=((1.0, 1.4),))
+        with pytest.raises(ValueError, match="degenerate"):
             ex.run_fig2(cfg)
 
     def test_fig2_rows_within_envelopes(self):
-        cfg = ex.ExperimentConfig(fig2_n_count=5, ellipse_samples=512)
+        cfg = ex.ExperimentConfig()
         for lam, rho, n, e, upper, lower in ex.run_fig2(cfg):
             assert e <= upper
             assert e >= 0.1 * lower
@@ -222,7 +231,7 @@ class TestRunners:
     def test_fig3_mini_run(self):
         cfg = ex.ExperimentConfig(
             lambda_list=(0.5,), n_list=(8, 16, 24),
-            rho_scan=(1.0, ex.RHO_SUP_UNIT_POLES, 100), ellipse_samples=256,
+            rho_scan=(1.0, ex.RHO_SUP_UNIT_POLES, 100),
         )
         records, summary = ex.run_fig3(cfg)
         assert len(records) == 6
@@ -237,7 +246,7 @@ class TestRunners:
         for function_id in ("runge1", "runge2"):
             cfg = ex.ExperimentConfig(
                 lambda_list=(0.5,), n_list=tuple(range(20, 44, 4)),
-                rho_scan=(1.0, ex.RHO_SUP_UNIT_POLES, 100), ellipse_samples=256,
+                rho_scan=(1.0, ex.RHO_SUP_UNIT_POLES, 100),
                 function_id=function_id,
             )
             _, summary = ex.run_fig3(cfg)
