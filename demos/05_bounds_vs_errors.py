@@ -7,18 +7,13 @@ Run:  python demos/05_bounds_vs_errors.py     (about half a minute)
 import math
 
 from gegenspec import GAUSS
-from gegenspec.experiments import (
-    RHO_SUP_UNIT_POLES,
-    TEST_FUNCTIONS,
-    certify,
-    scan_function,
-)
+from gegenspec.experiments import TEST_FUNCTIONS, certify, scan_function
 
 fn = TEST_FUNCTIONS["runge1"]
 lam = 0.5
 
 # the sup of |u| on each candidate ellipse depends only on rho: scan once
-scan = scan_function(fn, (1.0, RHO_SUP_UNIT_POLES, 2000))
+scan = scan_function(fn)
 
 print("Gauss differencing of 1/(1+x^2), lambda = 0.5")
 print("  n    measured error   scanned bound    rho*     bound/error")

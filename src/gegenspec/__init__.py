@@ -16,7 +16,6 @@ from .poly import (
     eval_recurrence,
     recurrence_table,
     eval_derivative,
-    eval_w_series,
     normalized_on_ellipse,
     value_at_one,
 )
@@ -38,7 +37,6 @@ from .operators import (
     truncated_expansion_error,
 )
 from .bounds import (
-    EllipseSpec,
     BoundBreakdown,
     PoleOnContourError,
     ellipse_points,
@@ -64,13 +62,13 @@ __version__ = "0.1.0"
 __all__ = [
     "GegenbauerParam", "g_coeff_sequence", "d_coeff_sequence", "h_norm",
     "total_mass",
-    "eval_recurrence", "recurrence_table", "eval_derivative", "eval_w_series",
+    "eval_recurrence", "recurrence_table", "eval_derivative",
     "normalized_on_ellipse", "value_at_one",
     "GAUSS", "GAUSS_LOBATTO", "NodeSet", "gauss_nodes", "gauss_lobatto_nodes",
     "quad_weights_interpolatory", "barycentric_weights",
     "DiffMatrix", "interpolate", "diff_matrix", "differentiate_at_nodes",
     "expansion_coeffs", "truncated_expansion_error",
-    "EllipseSpec", "BoundBreakdown", "PoleOnContourError", "ellipse_points",
+    "BoundBreakdown", "PoleOnContourError", "ellipse_points",
     "remainder_exact", "remainder_bound", "e_n_metric", "interp_bound_gauss",
     "diff_bound_gauss", "interp_bound_lobatto", "diff_bound_lobatto",
     "quad_bound",

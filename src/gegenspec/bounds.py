@@ -15,10 +15,9 @@ import numpy as np
 
 from .nodes import GAUSS, GAUSS_LOBATTO
 from .poly import calibrated_sup_scale, normalized_on_ellipse
-from .special import as_param, d_coeff_sequence, h_norm
+from .special import as_param, d_coeff_sequence, g_coeff_sequence, h_norm
 
 __all__ = [
-    "EllipseSpec",
     "BoundBreakdown",
     "PoleOnContourError",
     "ellipse_points",
@@ -39,32 +38,22 @@ FLAG_C_ONE = "c set to 1"
 FLAG_CALIBRATED = "uses calibrated D_lambda"
 FLAG_SKIPPED_RHO = "skipped rho values with non-finite max"
 
+# boundary points per ellipse in every sampled sup M_rho and in E_n
+ELLIPSE_SAMPLES = 2048
+
 # boundary points per call of u in scan_sups: the rho block is this many
-# points // samples rows (16 rows of 2048), enough to amortize the per-call
-# cost while the block's complex temporaries stay around a megabyte each
+# points // samples rows (16 rows of ELLIPSE_SAMPLES), enough to amortize the
+# per-call cost while the block's complex temporaries stay around a megabyte
+# each
 _SCAN_POINTS = 1 << 15
 
-# remainder_exact stops its infinite tail once a term drops below this
+# remainder_exact stops its infinite tail once a term is at most this
 # fraction of the accumulated sum
 _TAIL_RTOL = 1e-17
 
 
 class PoleOnContourError(ArithmeticError):
     """The sampled function is not finite on the ellipse boundary."""
-
-
-@dataclass(frozen=True)
-class EllipseSpec:
-    """Bernstein ellipse of radius rho > 1 with a boundary sampling count."""
-
-    rho: float
-    samples: int = 2048
-
-    def __post_init__(self):
-        if not self.rho > 1.0:
-            raise ValueError(f"rho must be > 1, got {self.rho}")
-        if self.samples < 4:
-            raise ValueError("samples must be >= 4")
 
 
 @dataclass(frozen=True)
@@ -100,10 +89,17 @@ def _unit_samples(samples: int) -> np.ndarray:
     return np.exp(1j * theta)
 
 
-def ellipse_points(spec: EllipseSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Boundary samples (w_j, z_j): w_j = rho e^{i theta_j} at the Fourier
-    angles theta_j = 2 pi j / samples, z_j = (w_j + 1/w_j)/2."""
-    w = spec.rho * _unit_samples(spec.samples)
+def _check_rho(rho: float):
+    if not (math.isfinite(rho) and rho > 1.0):
+        raise ValueError(f"rho must be finite and > 1, got {rho}")
+
+
+def ellipse_points(rho: float) -> tuple[np.ndarray, np.ndarray]:
+    """Boundary samples (w_j, z_j) of the Bernstein ellipse of radius rho:
+    w_j = rho e^{i theta_j} at the ELLIPSE_SAMPLES Fourier angles
+    theta_j = 2 pi j / ELLIPSE_SAMPLES, z_j = (w_j + 1/w_j)/2."""
+    _check_rho(rho)
+    w = rho * _unit_samples(ELLIPSE_SAMPLES)
     return w, 0.5 * (w + 1.0 / w)
 
 
@@ -111,32 +107,28 @@ def remainder_exact(param, n: int, rho: float) -> float:
     """Exact boundary remainder: sum_{k=1..n} |d_{n,k}| |g_k| rho^{-2k} plus
     the tail sum_{k>n} |g_k| rho^{-2k}.
 
-    Both sums run on multiplicative recurrences; the infinite tail stops when
-    a term drops below _TAIL_RTOL times the accumulated sum (geometric decay).
+    The head is one array expression over the coefficient sequences; the
+    infinite tail continues the g_k recurrence from g_n and stops once a term
+    is at most _TAIL_RTOL times the accumulated sum (geometric decay; a sum
+    that underflows to 0 stops at once).
     """
     lam = as_param(param).lam
     if n < 0:
         raise ValueError("n must be a nonnegative integer")
-    if not rho > 1.0:
-        raise ValueError("rho must be > 1")
+    _check_rho(rho)
     q = rho ** -2.0
-    total = 0.0
-    g = 1.0
-    ratio = 1.0          # g_{n-k}/g_n
-    qk = 1.0
-    for k in range(1, n + 1):
-        ratio *= (n - k + 1.0) / (n - k + lam)
-        g *= (k - 1.0 + lam) / k
-        qk *= q
-        total += abs(1.0 - ratio) * abs(g) * qk
-    k = n
+    g = g_coeff_sequence(lam, n)
+    qk = q ** np.arange(n + 1.0)
+    total = (float(np.sum(np.abs(d_coeff_sequence(lam, n)) * np.abs(g[1:]) * qk[1:]))
+             if n else 0.0)
+    g, qk, k = g[n], qk[n], n
     while True:
         k += 1
         g *= (k - 1.0 + lam) / k
         qk *= q
         term = abs(g) * qk
         total += term
-        if term < _TAIL_RTOL * total:
+        if term <= _TAIL_RTOL * total:
             return total
         if k > n + 100_000_000:
             raise RuntimeError("tail failed to converge")
@@ -164,8 +156,7 @@ def remainder_bound(param, n: int, rho: float, m="auto") -> BoundBreakdown:
     """
     p = as_param(param)
     lam = p.lam
-    if not rho > 1.0:
-        raise ValueError("rho must be > 1")
+    _check_rho(rho)
     if lam == 1.0:
         raise ValueError(
             "lambda = 1 is covered by neither branch of the remainder bound "
@@ -242,21 +233,22 @@ def remainder_bound(param, n: int, rho: float, m="auto") -> BoundBreakdown:
     )
 
 
-def e_n_metric(param, n: int, spec: EllipseSpec) -> float:
+def e_n_metric(param, n: int, rho: float) -> float:
     """Normalized sup discrepancy between the boundary series and its limit.
 
-    E_n = max_z |(1-w^-2)^-lam - C_n(z)/(g_n w^n)| / A(rho, lam) with the
-    normalization A = |1-lam| |(1-rho^-2)^-lam - 1|; lam = 1 degenerates
-    (A = 0) and is rejected.
+    E_n = max_z |(1-w^-2)^-lam - C_n(z)/(g_n w^n)| / A(rho, lam) over the
+    ellipse_points of rho, with the normalization
+    A = |1-lam| |(1-rho^-2)^-lam - 1|; lam = 1 degenerates (A = 0) and is
+    rejected.
     """
     p = as_param(param)
     lam = p.lam
     if lam == 1.0:
         raise ValueError("normalization degenerates at lambda = 1 (A = 0)")
-    w, _ = ellipse_points(spec)
+    w, _ = ellipse_points(rho)
     limit = (1.0 - w ** -2.0) ** (-lam)
     disc = np.max(np.abs(limit - normalized_on_ellipse(p, n, w)))
-    a_norm = abs(1.0 - lam) * _head_factor(lam, spec.rho)
+    a_norm = abs(1.0 - lam) * _head_factor(lam, rho)
     return float(disc / a_norm)
 
 
@@ -274,10 +266,9 @@ def _rate(power: float, n: int, rho):
 def _check_bound_args(n: int, rho: float, m_rho: float):
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not rho > 1.0:
-        raise ValueError("rho must be > 1")
-    if m_rho < 0:
-        raise ValueError("M_rho must be >= 0")
+    _check_rho(rho)
+    if not (math.isfinite(m_rho) and m_rho >= 0):
+        raise ValueError(f"M_rho must be finite and >= 0, got {m_rho}")
 
 
 def _breakdown(factors, param, n: int, rho: float, m_rho: float) -> BoundBreakdown:
@@ -479,7 +470,7 @@ def rho_scan_grid(rho_min: float, rho_max: float, count: int) -> np.ndarray:
     return np.linspace(rho_min + h, rho_max - h, count)
 
 
-def scan_sups(u, rhos, samples: int = 2048):
+def scan_sups(u, rhos, samples: int = ELLIPSE_SAMPLES):
     """Boundary sups of |u| for each rho; non-finite entries become NaN.
 
     u is called on blocks of several ellipses at once, raveled to 1-D.

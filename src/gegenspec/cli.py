@@ -35,25 +35,11 @@ EXIT_DOMINANCE = 3
 EXIT_IO = 4
 
 
-class _RhoScanEntry(argparse.Action):
-    """Sets entry `const` of rho_scan; the other entries keep their defaults."""
-
-    def __call__(self, parser, namespace, value, option_string=None):
-        scan = list(namespace.rho_scan or ExperimentConfig.rho_scan)
-        scan[self.const] = value
-        namespace.rho_scan = tuple(scan)
-
-
 # the flags that set each ExperimentConfig field; each flag's dest is its field
 _FIELD_FLAGS = {
     "lambda_list": {"--lambda": dict(type=float, action="append",
                                      help="family index (repeatable)")},
     "n_list": {"--n": dict(type=int, action="append", help="degree (repeatable)")},
-    "rho_scan": {
-        "--rho-min": dict(type=float, action=_RhoScanEntry, const=0, metavar="MIN"),
-        "--rho-max": dict(type=float, action=_RhoScanEntry, const=1, metavar="MAX"),
-        "--rho-count": dict(type=int, action=_RhoScanEntry, const=2, metavar="COUNT"),
-    },
     "node_family": {"--family": dict(choices=(GAUSS, GAUSS_LOBATTO))},
     "function_id": {"--function": dict(choices=(*TEST_FUNCTIONS, CUSTOM_RATIONAL))},
 }
@@ -65,7 +51,7 @@ STUDIES = {
     "fig2": ("large-n tightness study of the normalized boundary series",
              ("fig2_grid",)),
     "fig3": ("node-differencing error versus scanned bound",
-             ("lambda_list", "n_list", "rho_scan", "function_id", "rational_pole_imag")),
+             ("lambda_list", "n_list", "function_id", "rational_pole_imag")),
     "expansion-decay": ("truncated-expansion decay study",
                         ("lambda_list", "n_list", "function_id", "rational_pole_imag")),
 }

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import highprec
 from .bounds import (
+    ELLIPSE_SAMPLES,
     THEOREMS,
-    EllipseSpec,
     e_n_metric,
     lookup_theorem,
     minimize_bound_on_grid,
@@ -75,8 +75,11 @@ class DominanceError(RuntimeError):
     """A measured error exceeded 1.25x its certified bound (CLI exit code 3)."""
 
 
-# poles at +-i reach the ellipse boundary when (rho - 1/rho)/2 = 1
+# poles at +-i reach the ellipse boundary when (rho - 1/rho)/2 = 1; every
+# rho scan ends there, or earlier at the function's own rho_sup
 RHO_SUP_UNIT_POLES = 1.0 + math.sqrt(2.0)
+# radii in every rho scan
+RHO_COUNT = 2000
 
 MP_ESCALATE_BELOW = 1e-8
 DOMINANCE_SLACK = 1.25
@@ -85,8 +88,6 @@ SLOPE_WINDOW = (20, 60)
 KINDS = ("diff", "interp", "quad")
 
 DEFAULT_FIG2_GRID = ((1.5, 1.8), (0.5, 1.4), (3.2, 2.0), (-0.3, 2.0))
-# boundary points per ellipse in every sampled sup M_rho and in E_n
-ELLIPSE_SAMPLES = 2048
 
 
 def _is_mp(x):
@@ -154,8 +155,9 @@ def resolve_function(function_id: str, pole_imag: float = 0.8) -> TestFunction:
     if function_id in TEST_FUNCTIONS:
         return TEST_FUNCTIONS[function_id]
     if function_id == CUSTOM_RATIONAL:
-        if not pole_imag > 0:
-            raise ConfigError(f"{CUSTOM_RATIONAL} needs a positive pole height")
+        if not (math.isfinite(pole_imag) and pole_imag > 0):
+            raise ConfigError(f"{CUSTOM_RATIONAL} needs a finite positive pole "
+                              f"height, got {pole_imag}")
         return make_rational(pole_imag)
     raise ConfigError(f"unknown function id {function_id!r}")
 
@@ -187,7 +189,6 @@ class ExperimentConfig:
 
     lambda_list: tuple = (0.5, 1.5)
     n_list: tuple = tuple(range(8, 68, 4))
-    rho_scan: tuple = (1.0, RHO_SUP_UNIT_POLES, 2000)
     function_id: str = "runge1"
     node_family: str = GAUSS
     fig2_grid: tuple = DEFAULT_FIG2_GRID
@@ -196,10 +197,6 @@ class ExperimentConfig:
     def __post_init__(self):
         self.lambda_list = _as_tuple("lambda_list", self.lambda_list, _is_real, "numbers")
         self.n_list = _as_tuple("n_list", self.n_list, _is_int, "integers")
-        self.rho_scan = _as_tuple("rho_scan", self.rho_scan, _is_real, "numbers")
-        if len(self.rho_scan) != 3 or not _is_int(self.rho_scan[2]):
-            raise ConfigError(f"rho_scan must be [min, max, integer count], "
-                              f"got {list(self.rho_scan)}")
         self.fig2_grid = tuple(map(tuple, _as_tuple(
             "fig2_grid", self.fig2_grid, _is_pair, "[lambda, rho] pairs")))
         if not _is_real(self.rational_pole_imag):
@@ -218,11 +215,6 @@ class ExperimentConfig:
             raise ConfigError("n_list must be nonempty")
         if list(self.n_list) != sorted(self.n_list):
             raise ConfigError("n_list must be ascending")
-        lo, hi, count = self.rho_scan
-        if not (1.0 < hi and lo >= 1.0 and lo < hi):
-            raise ConfigError("rho_scan must satisfy 1 <= min < max")
-        if count < 2:
-            raise ConfigError("rho_scan count must be >= 2")
         if self.node_family not in (GAUSS, GAUSS_LOBATTO):
             raise ConfigError(f"unknown node family {self.node_family!r}")
         resolve_function(self.function_id, self.rational_pole_imag)
@@ -318,13 +310,11 @@ def measure_expansion_error(param, fn: TestFunction, n):
     return _escalate(err, lambda: highprec.expansion_error_mp(param, fn.u, n))
 
 
-def scan_function(fn: TestFunction, rho_scan):
-    """Boundary sups of fn over the rho grid of rho_scan = (lo, hi, count),
-    with hi clipped to fn.rho_sup: (rhos, sups, skipped) for certify."""
-    lo, hi, count = rho_scan
-    if fn.rho_sup is not None:
-        hi = min(hi, fn.rho_sup)
-    rhos = rho_scan_grid(lo, hi, int(count))
+def scan_function(fn: TestFunction):
+    """Boundary sups of fn on RHO_COUNT radii inside (1, hi), hi the smaller
+    of RHO_SUP_UNIT_POLES and fn.rho_sup: (rhos, sups, skipped) for certify."""
+    hi = min(RHO_SUP_UNIT_POLES, fn.rho_sup or math.inf)
+    rhos = rho_scan_grid(1.0, hi, RHO_COUNT)
     return (rhos, *scan_sups(fn.u, rhos, ELLIPSE_SAMPLES))
 
 
@@ -440,7 +430,7 @@ def run_fig2(config: ExperimentConfig):
     rows = []
     for lam, rho in config.fig2_grid:
         for n in ns:
-            e = e_n_metric(lam, n, EllipseSpec(rho, ELLIPSE_SAMPLES))
+            e = e_n_metric(lam, n, rho)
             rows.append((lam, rho, n, e, n ** -0.9, 1.0 / n))
     return rows
 
@@ -453,7 +443,7 @@ def run_fig3(config: ExperimentConfig):
     status; any record with measured > 1.25x bound marks the run as violating.
     """
     fn = resolve_function(config.function_id, config.rational_pole_imag)
-    scan = scan_function(fn, config.rho_scan)
+    scan = scan_function(fn)
     records, fits = [], []
     for lam in config.lambda_list:
         for family in (GAUSS, GAUSS_LOBATTO):

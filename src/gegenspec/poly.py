@@ -1,11 +1,11 @@
 """Evaluation of the Gegenbauer polynomial C_n and its derivative.
 
-Three routes are provided and cross-checked by the test suite:
+Two routes are provided and cross-checked by the test suite:
 
 * the three-term recurrence (real or complex argument, vectorized),
-* the w-series valid off the unit disk, with z = (w + 1/w)/2,
-* a normalized boundary form C_n(z)/(g_n w^n) built entirely from O(1)
-  coefficient ratios, stable for arbitrarily large n.
+* the w-series C_n(z) = sum_k g_k g_{n-k} w^{n-2k}, valid off the unit disk
+  with z = (w + 1/w)/2, in the normalized form C_n(z)/(g_n w^n) built
+  entirely from O(1) coefficient ratios, stable for arbitrarily large n.
 """
 
 import math
@@ -13,14 +13,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .special import as_param, g_coeff_sequence
+from .special import as_param
 
 __all__ = [
     "calibrated_sup_scale",
     "eval_recurrence",
     "recurrence_table",
     "eval_derivative",
-    "eval_w_series",
     "normalized_on_ellipse",
     "value_at_one",
 ]
@@ -76,35 +75,6 @@ def eval_derivative(param, n: int, x):
     if n < 1:
         raise ValueError("n must be >= 1 for the derivative")
     return 2.0 * p.lam * eval_recurrence(p.lam + 1.0, n - 1, x)
-
-
-def eval_w_series(param, n: int, w):
-    """C_n at z = (w + 1/w)/2 through the series sum_k g_k g_{n-k} w^{n-2k}.
-
-    Requires |w| > 1 (the joukowski map is a bijection off the closed unit
-    disk).  Terms are added in ascending k, i.e. in descending magnitude of
-    w^{n-2k}, with compensated summation.
-    """
-    p = as_param(param)
-    if n < 0:
-        raise ValueError("n must be a nonnegative integer")
-    pts, scalar = _as_points(w)
-    pts = pts.astype(complex)
-    if np.any(np.abs(pts) <= 1.0):
-        raise ValueError("eval_w_series requires |w| > 1")
-    g = g_coeff_sequence(p, n)
-    power = pts ** n
-    step = pts ** -2.0
-    total = np.zeros_like(pts)
-    comp = np.zeros_like(pts)
-    for k in range(n + 1):
-        term = (g[k] * g[n - k]) * power
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        power = power * step
-    return total[0] if scalar else total
 
 
 def normalized_on_ellipse(param, n: int, w):

@@ -37,16 +37,14 @@ from gegenspec.experiments import (
 )
 from gegenspec.nodes import GAUSS, GAUSS_LOBATTO, gauss_lobatto_nodes, gauss_nodes
 from gegenspec.operators import diff_matrix
-from gegenspec.poly import eval_recurrence, eval_w_series, value_at_one
-from gegenspec.special import total_mass
+from gegenspec.poly import eval_recurrence, normalized_on_ellipse, value_at_one
+from gegenspec.special import g_coeff_sequence, total_mass
 
 LAM_GRID = (-0.3, 0.5, 1.5, 3.2)
 STUDY_LAMBDAS = (0.5, 1.5)
 STUDY_NS = tuple(range(8, 68, 4))
 STUDY_FUNCTIONS = ("runge1", "runge2")
 FAMILIES = (GAUSS, GAUSS_LOBATTO)
-RHO_SUP = 1.0 + math.sqrt(2.0)
-RHO_COUNT = 2000
 
 
 def report(num, ok, detail=""):
@@ -57,11 +55,13 @@ def test_criterion_01_representation_equivalence():
     worst = 0.0
     theta = 2.0 * np.pi * np.arange(64) / 64
     for lam in (-0.3, 0.5, 1.0, 1.5, 3.2):
+        g = g_coeff_sequence(lam, 60)
         for rho in (1.1, 1.5, 2.5):
             w = rho * np.exp(1j * theta)
             z = 0.5 * (w + 1.0 / w)
             for n in range(61):
-                a = eval_w_series(lam, n, w)
+                # the w-series sum_k g_k g_{n-k} w^(n-2k) in normalized form
+                a = g[n] * w ** n * normalized_on_ellipse(lam, n, w)
                 b = eval_recurrence(lam, n, z)
                 worst = max(worst, float(np.max(np.abs(a - b) / np.abs(b))))
     ok = worst <= 1e-10
@@ -176,7 +176,7 @@ def study():
     data = {}
     for fn_id in STUDY_FUNCTIONS:
         fn = TEST_FUNCTIONS[fn_id]
-        scan = scan_function(fn, (1.0, RHO_SUP, RHO_COUNT))
+        scan = scan_function(fn)
         for lam in STUDY_LAMBDAS:
             for family in FAMILIES:
                 data[(fn_id, lam, family)] = [

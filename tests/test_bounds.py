@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from gegenspec.bounds import (
+    ELLIPSE_SAMPLES,
     THEOREMS,
     BoundBreakdown,
-    EllipseSpec,
     PoleOnContourError,
     diff_bound_gauss,
     diff_bound_lobatto,
@@ -37,23 +37,25 @@ REMAINDER_LATTICE = [
 
 class TestEllipseGeometry:
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            EllipseSpec(1.0)
-        with pytest.raises(ValueError):
-            EllipseSpec(1.5, samples=3)
+        for rho in (1.0, 0.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite and > 1"):
+                ellipse_points(rho)
+        w, z = ellipse_points(1.5)
+        assert w.shape == z.shape == (ELLIPSE_SAMPLES,)
 
     def test_real_axis_point(self):
-        w, z = ellipse_points(EllipseSpec(1.5, 8))
+        w, z = ellipse_points(1.5)
         assert z[0] == pytest.approx((1.5 + 2.0 / 3.0) / 2.0, rel=1e-15)
 
     def test_imaginary_axis_point(self):
-        w, z = ellipse_points(EllipseSpec(1.5, 8))
-        assert z[2] == pytest.approx(1j * (1.5 - 2.0 / 3.0) / 2.0, abs=1e-15)
+        w, z = ellipse_points(1.5)
+        assert z[ELLIPSE_SAMPLES // 4] == pytest.approx(1j * (1.5 - 2.0 / 3.0) / 2.0,
+                                                       abs=1e-15)
 
     def test_on_ellipse_equation(self):
         for rho in (1.1, 1.5, 2.5):
             a, b = 0.5 * (rho + 1.0 / rho), 0.5 * (rho - 1.0 / rho)
-            _, z = ellipse_points(EllipseSpec(rho, 64))
+            _, z = ellipse_points(rho)
             resid = (z.real / a) ** 2 + (z.imag / b) ** 2 - 1.0
             assert np.max(np.abs(resid)) < 1e-12
 
@@ -61,7 +63,7 @@ class TestEllipseGeometry:
         # the samples lie on the ellipse with foci +-1: the distances to the
         # foci sum to the major axis rho + 1/rho
         for rho in (1.05, 1.4, 3.0):
-            _, z = ellipse_points(EllipseSpec(rho, 64))
+            _, z = ellipse_points(rho)
             dist = np.abs(z - 1.0) + np.abs(z + 1.0)
             np.testing.assert_allclose(dist, rho + 1.0 / rho, rtol=1e-13)
 
@@ -92,14 +94,36 @@ class TestSupOnEllipse:
 
     def test_exact_pole_reported(self):
         rho = 1.7
-        _, z = ellipse_points(EllipseSpec(rho, 8))
-        pole = complex(z[0])  # exactly representable boundary point
+        _, z = ellipse_points(rho)
+        pole = complex(z[0])  # theta = 0: the same point in every sampling
         with np.errstate(divide="ignore", invalid="ignore"):
             with pytest.raises(PoleOnContourError):
                 sup_at(lambda zz: 1.0 / (zz - pole), rho, 8)
 
 
+def _remainder_loop(lam, n, rho):
+    """Reference remainder_exact: head and tail summed term by term."""
+    q, total, g, ratio, qk, k = rho ** -2.0, 0.0, 1.0, 1.0, 1.0, 0
+    while True:
+        k += 1
+        g *= (k - 1.0 + lam) / k
+        qk *= q
+        if k <= n:
+            ratio *= (n - k + 1.0) / (n - k + lam)   # g_{n-k}/g_n
+            total += abs(1.0 - ratio) * abs(g) * qk
+            continue
+        total += abs(g) * qk
+        if abs(g) * qk < 1e-17 * total:
+            return total
+
+
 class TestRemainderExact:
+    def test_matches_loop_reference(self):
+        # the head's array sum reorders about n roundings: 1e-14 is ~45 ulps
+        for lam, n, rho in REMAINDER_LATTICE:
+            assert remainder_exact(lam, n, rho) == pytest.approx(
+                _remainder_loop(lam, n, rho), rel=1e-14)
+
     def test_lam_one_geometric(self):
         for n, rho in ((4, 1.5), (11, 2.0)):
             expected = rho ** (-2.0 * n) / (rho * rho - 1.0)
@@ -107,6 +131,13 @@ class TestRemainderExact:
 
     def test_vanishes_for_large_rho(self):
         assert remainder_exact(0.5, 10, 1e6) < 1e-11
+
+    def test_underflowed_sum_stops(self):
+        # lam = 1 has no head and rho^(-2n) underflows, so the sum is 0
+        assert remainder_exact(1.0, 200, 1e6) == 0.0
+        for rho in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                remainder_exact(0.5, 10, rho)
 
     def test_positive(self):
         for lam, n, rho in REMAINDER_LATTICE:
@@ -173,7 +204,7 @@ class TestRemainderBound:
 class TestTriangleConsistency:
     @pytest.mark.parametrize("lam,n,rho", REMAINDER_LATTICE)
     def test_normalized_within_remainder(self, lam, n, rho):
-        w, _ = ellipse_points(EllipseSpec(rho, 64))
+        w, _ = ellipse_points(rho)
         lim = np.abs((1.0 - w ** -2.0) ** (-lam))
         got = np.abs(normalized_on_ellipse(lam, n, w))
         gap = np.max(np.abs(lim - got))
@@ -182,7 +213,7 @@ class TestTriangleConsistency:
 
     def test_modulus_window(self):
         for rho in (1.1, 1.5, 2.5):
-            w, _ = ellipse_points(EllipseSpec(rho, 128))
+            w, _ = ellipse_points(rho)
             mod = np.abs(1.0 - w ** -2.0)
             assert np.all(mod >= (1.0 - rho ** -2.0) * (1 - 1e-14))
             assert np.all(mod <= (1.0 + rho ** -2.0) * (1 + 1e-14))
@@ -191,16 +222,16 @@ class TestTriangleConsistency:
 class TestEnMetric:
     def test_lam_one_degenerate(self):
         with pytest.raises(ValueError):
-            e_n_metric(1.0, 100, EllipseSpec(1.4, 64))
+            e_n_metric(1.0, 100, 1.4)
 
     def test_figure_window_sample(self):
         for n in (1000, 3162, 10000):
-            e = e_n_metric(0.5, n, EllipseSpec(1.4))
+            e = e_n_metric(0.5, n, 1.4)
             assert 0.1 / n <= e <= n ** -0.9
 
     def test_bounded_by_remainder_over_normalization(self):
         lam, rho, n = 1.5, 2.0, 500
-        e = e_n_metric(lam, n, EllipseSpec(rho, 256))
+        e = e_n_metric(lam, n, rho)
         a_norm = abs(1.0 - lam) * abs((1.0 - rho ** -2.0) ** (-lam) - 1.0)
         assert e <= remainder_exact(lam, n, rho) / a_norm * (1 + 1e-12)
 
@@ -339,8 +370,7 @@ class TestBestBoundOverRho:
     def test_skipped_rho_flagged(self):
         # plant a pole exactly on one scanned boundary sample
         rhos = rho_scan_grid(1.0, 3.0, 200)
-        spec = EllipseSpec(float(rhos[120]), 4)
-        _, z = ellipse_points(spec)
+        _, z = ellipse_points(float(rhos[120]))
         pole = complex(z[0])
         with np.errstate(divide="ignore", invalid="ignore"):
             rho_star, bd = scan_and_minimize(
@@ -366,11 +396,11 @@ def _oracle_minimize(lam, n, which, rhos, sups):
 
 
 def _runge1_grid():
-    return scan_function(TEST_FUNCTIONS["runge1"], (1.0, RHO_SUP, 2000))
+    return scan_function(TEST_FUNCTIONS["runge1"])
 
 
 def _rational_grid():
-    return scan_function(make_rational(0.07), (1.0, RHO_SUP, 2000))
+    return scan_function(make_rational(0.07))
 
 
 def _runge1_nan_grid():
@@ -440,14 +470,14 @@ class TestScanSups:
             rhos = rhos[:3]
         sups, skipped = scan_sups(RUNGE, rhos, samples)
         assert not skipped
+        theta = 2.0 * np.pi * np.arange(samples) / samples
         for rho, got in zip(rhos, sups):
-            spec = EllipseSpec(float(rho), samples)
-            _, z = ellipse_points(spec)
-            assert got == np.max(np.abs(RUNGE(z)))
+            w = rho * np.exp(1j * theta)
+            assert got == np.max(np.abs(RUNGE(0.5 * (w + 1.0 / w))))
 
     def test_pole_on_sampled_contour_gives_nan(self):
         rhos = rho_scan_grid(1.0, 3.0, 40)
-        _, z = ellipse_points(EllipseSpec(float(rhos[25]), 8))
+        _, z = ellipse_points(float(rhos[25]))
         pole = complex(z[0])
         with np.errstate(divide="ignore", invalid="ignore"):
             sups, skipped = scan_sups(lambda zz: 1.0 / (zz - pole), rhos, 8)

@@ -167,10 +167,7 @@ class TestFig3Command:
     def test_small_run_csv_and_summary(self, tmp_path):
         out = tmp_path / "fig3.csv"
         cfgp = tmp_path / "cfg.json"
-        cfgp.write_text(json.dumps({
-            "lambda_list": [0.5], "n_list": [8, 12],
-            "rho_scan": [1.0, 2.414, 50],
-        }))
+        cfgp.write_text(json.dumps({"lambda_list": [0.5], "n_list": [8, 12]}))
         code = run_cli(["fig3", "--config", str(cfgp), "--out", str(out)])
         assert code == 0
         lines = out.read_text().strip().splitlines()
@@ -232,7 +229,7 @@ class TestExpansionDecayCommand:
 
 # the study flags each subcommand reads, written out; any other exits 2
 READ_FLAGS = {"nodes": "--lambda --n --family", "fig2": "",
-              "fig3": "--lambda --n --rho-min --rho-max --rho-count --function",
+              "fig3": "--lambda --n --function",
               "expansion-decay": "--lambda --n --function"}
 FLAG_VALUES = {"--lambda": "7", "--n": "3", "--rho-min": "1.1", "--rho-max": "2",
                "--rho-count": "10", "--family": "gauss", "--function": "exp"}
@@ -270,18 +267,19 @@ class TestParserChoices:
 CONFIG_READS = {
     "nodes": {"lambda_list", "n_list", "node_family"},
     "fig2": {"fig2_grid"},
-    "fig3": {"lambda_list", "n_list", "rho_scan", "function_id", "rational_pole_imag"},
+    "fig3": {"lambda_list", "n_list", "function_id", "rational_pole_imag"},
     "expansion-decay": {"lambda_list", "n_list", "function_id", "rational_pole_imag"},
 }
 # a small non-default value of every field
 CONFIG_VALUES = {
-    "lambda_list": [1.5], "n_list": [4, 6], "rho_scan": [1.0, 2.0, 20],
+    "lambda_list": [1.5], "n_list": [4, 6],
     "function_id": CUSTOM_RATIONAL, "node_family": GAUSS_LOBATTO,
     "fig2_grid": [[0.5, 1.4]], "rational_pole_imag": 0.5,
 }
-# keys of earlier config files, now constants or plain --out / --format
+# keys of earlier config files, now constants, plain --out / --format, or
+# (rho_scan) derived from the function
 RETIRED_KEYS = {"ellipse_samples": 2048, "fig2_n_count": 20,
-                "output_path": "x.csv", "format": "csv"}
+                "output_path": "x.csv", "format": "csv", "rho_scan": [1.0, 2.0, 20]}
 UNREAD_KEYS = [(command, key) for command, read in CONFIG_READS.items()
                for key in (*CONFIG_VALUES, *RETIRED_KEYS) if key not in read]
 
@@ -323,7 +321,7 @@ class TestConfigKeys:
         ("fig3", {"n_list": 5}, "n_list"),
         ("nodes", {"n_list": [4.5]}, "n_list"),
         ("nodes", {"lambda_list": "0.5"}, "lambda_list"),
-        ("fig3", {"rho_scan": [1.0, 2.0, 2.5]}, "rho_scan"),
+        ("fig3", {"rho_scan": [1.0, 2.0, 2.5]}, "rho_scan"),  # retired: any value
         ("fig2", {"fig2_grid": [[0.5]]}, "fig2_grid"),
         ("fig3", {"rational_pole_imag": "0.3"}, "rational_pole_imag"),
         ("fig3", {"function_id": ["runge1"]}, "function_id"),
@@ -337,7 +335,36 @@ class TestConfigKeys:
         assert key in err
 
 
+BOUNDS = ["bounds", "--lambda", "0.5", "--n", "10"]
+# non-finite numbers in each input route; each is a config error, not a result
+NON_FINITE = [
+    pytest.param([*BOUNDS, "--rho", "inf", "--theorem", "T42"], None, "rho", id="T42-rho"),
+    pytest.param([*BOUNDS, "--rho", "2", "--m-rho", "nan", "--theorem", "T42"], None,
+                 "M_rho", id="T42-m-rho"),
+    pytest.param([*BOUNDS, "--rho", "2", "--m-rho", "inf", "--theorem", "T41"], None,
+                 "M_rho", id="T41-m-rho"),
+    pytest.param([*BOUNDS, "--rho", "inf", "--theorem", "T31ii"], None, "rho",
+                 id="T31ii-rho"),
+    pytest.param(["fig2"], {"fig2_grid": [[0.5, math.inf]]}, "rho", id="fig2-rho"),
+    pytest.param(["fig3"], {"function_id": CUSTOM_RATIONAL, "rational_pole_imag": math.inf},
+                 "pole height", id="fig3-pole"),
+    pytest.param(["expansion-decay"],
+                 {"function_id": CUSTOM_RATIONAL, "rational_pole_imag": math.inf},
+                 "pole height", id="expansion-decay-pole"),
+]
+
+
 class TestErrorPaths:
+    @pytest.mark.parametrize("argv,config,name", NON_FINITE)
+    def test_non_finite_input_exits_2(self, argv, config, name, tmp_path, capsys):
+        if config is not None:
+            argv = [*argv, "--config", write_config(tmp_path, config)]
+        code = run_cli(argv)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "finite" in err and name in err
+
     def test_invalid_lambda_exits_2(self, capsys):
         code = run_cli(["nodes", "--lambda", "0", "--n", "4"])
         assert code == 2

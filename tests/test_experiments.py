@@ -9,14 +9,14 @@ from gegenspec import highprec
 from gegenspec.bounds import minimize_bound_on_grid, quad_bound, rho_scan_grid, scan_sups
 from gegenspec.nodes import GAUSS, GAUSS_LOBATTO
 
-FIG3_KEYS = ("lambda_list", "n_list", "rho_scan", "function_id", "rational_pole_imag")
+FIG3_KEYS = ("lambda_list", "n_list", "function_id", "rational_pole_imag")
 
 
 class TestConfig:
     def test_defaults_valid(self):
         cfg = ex.ExperimentConfig()
         assert cfg.lambda_list == (0.5, 1.5)
-        assert cfg.rho_scan[1] == pytest.approx(1 + math.sqrt(2))
+        assert cfg.n_list == tuple(range(8, 68, 4))
 
     def test_rejects_bad_lambda(self):
         with pytest.raises(ex.ConfigError):
@@ -28,12 +28,6 @@ class TestConfig:
         with pytest.raises(ex.ConfigError):
             ex.ExperimentConfig(n_list=(16, 8))
 
-    def test_rejects_bad_scan(self):
-        with pytest.raises(ex.ConfigError):
-            ex.ExperimentConfig(rho_scan=(0.5, 2.0, 100))
-        with pytest.raises(ex.ConfigError):
-            ex.ExperimentConfig(rho_scan=(1.5, 1.2, 100))
-
     def test_rejects_unknown_function(self):
         with pytest.raises(ex.ConfigError):
             ex.ExperimentConfig(function_id="nope")
@@ -43,22 +37,19 @@ class TestConfig:
             ex.ExperimentConfig(node_family="chebyshev")
 
     def test_lists_stored_as_tuples(self):
-        cfg = ex.ExperimentConfig(lambda_list=[0.5], n_list=[4], rho_scan=[1.0, 2.0, 9],
-                                  fig2_grid=[[0.5, 1.4]])
-        assert (cfg.lambda_list, cfg.n_list, cfg.rho_scan, cfg.fig2_grid) == (
-            (0.5,), (4,), (1.0, 2.0, 9), ((0.5, 1.4),))
+        cfg = ex.ExperimentConfig(lambda_list=[0.5], n_list=[4], fig2_grid=[[0.5, 1.4]])
+        assert (cfg.lambda_list, cfg.n_list, cfg.fig2_grid) == ((0.5,), (4,), ((0.5, 1.4),))
 
     def test_json_round_trip(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({
             "lambda_list": [0.5],
             "n_list": [8, 12],
-            "rho_scan": [1.0, 2.4, 50],
             "function_id": "runge2",
         }))
         cfg = ex.ExperimentConfig.from_json(str(path), FIG3_KEYS)
         assert cfg.lambda_list == (0.5,) and cfg.function_id == "runge2"
-        assert cfg.n_list == (8, 12) and cfg.rho_scan == (1.0, 2.4, 50)
+        assert cfg.n_list == (8, 12)
 
     def test_json_unknown_key(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -152,7 +143,7 @@ class TestCertify:
         which = {("diff", GAUSS): "T42", ("diff", GAUSS_LOBATTO): "T43b",
                  ("interp", GAUSS): "T41i", ("interp", GAUSS_LOBATTO): "T43a"}
         fn = ex.resolve_function(ex.CUSTOM_RATIONAL, 0.07)
-        scan = ex.scan_function(fn, (1.0, ex.RHO_SUP_UNIT_POLES, 2000))
+        scan = ex.scan_function(fn)
         for lam, family, n in ((0.5, GAUSS, 48), (1.5, GAUSS_LOBATTO, 64), (3.2, GAUSS, 96)):
             got = ex.certify(fn, lam, n, family, ex.KINDS, scan)
             assert list(got) == list(ex.KINDS)
@@ -168,14 +159,17 @@ class TestCertify:
                 assert got[kind] == want, (lam, family, n, kind)
 
     def test_scan_function_clips_to_rho_sup(self):
-        rational, entire = ex.make_rational(0.07), ex.TEST_FUNCTIONS["exp"]
-        assert entire.rho_sup is None
-        for fn, hi in ((rational, rational.rho_sup), (entire, 3.0)):
-            rhos, sups, skipped = ex.scan_function(fn, (1.0, 3.0, 50))
-            np.testing.assert_array_equal(rhos, rho_scan_grid(1.0, hi, 50))
-            want = scan_sups(fn.u, rhos, ex.ELLIPSE_SAMPLES)[0]
-            np.testing.assert_array_equal(sups, want)
-            assert not skipped
+        # 2000 radii inside (1, min(1 + sqrt 2, rho_sup)), 2048 samples each
+        assert ex.TEST_FUNCTIONS["exp"].rho_sup is None
+        for fn in (*ex.TEST_FUNCTIONS.values(), ex.make_rational(0.8),
+                   ex.make_rational(0.05)):
+            hi = min(1.0 + math.sqrt(2.0), fn.rho_sup or math.inf)
+            rhos, sups, skipped = ex.scan_function(fn)
+            want_rhos = rho_scan_grid(1.0, hi, 2000)
+            want_sups, want_skipped = scan_sups(fn.u, want_rhos, 2048)
+            assert np.array_equal(rhos, want_rhos), fn.name
+            assert np.array_equal(sups, want_sups), fn.name
+            assert skipped is want_skipped is False
 
 
 class TestSlopeFit:
@@ -229,10 +223,7 @@ class TestRunners:
             assert e >= 0.1 * lower
 
     def test_fig3_mini_run(self):
-        cfg = ex.ExperimentConfig(
-            lambda_list=(0.5,), n_list=(8, 16, 24),
-            rho_scan=(1.0, ex.RHO_SUP_UNIT_POLES, 100),
-        )
+        cfg = ex.ExperimentConfig(lambda_list=(0.5,), n_list=(8, 16, 24))
         records, summary = ex.run_fig3(cfg)
         assert len(records) == 6
         assert summary["dominance_ok"]
@@ -246,7 +237,6 @@ class TestRunners:
         for function_id in ("runge1", "runge2"):
             cfg = ex.ExperimentConfig(
                 lambda_list=(0.5,), n_list=tuple(range(20, 44, 4)),
-                rho_scan=(1.0, ex.RHO_SUP_UNIT_POLES, 100),
                 function_id=function_id,
             )
             _, summary = ex.run_fig3(cfg)

@@ -7,7 +7,6 @@ from gegenspec.poly import (
     eval_derivative,
     eval_recurrence,
     calibrated_sup_scale,
-    eval_w_series,
     normalized_on_ellipse,
     recurrence_table,
     value_at_one,
@@ -126,41 +125,39 @@ class TestDerivative:
 
 
 class TestWSeries:
-    def test_unit_disk_rejected(self):
-        with pytest.raises(ValueError):
-            eval_w_series(0.5, 3, 0.9)
-        with pytest.raises(ValueError):
-            eval_w_series(0.5, 3, np.exp(0.3j))
-
-    def test_degree_zero(self):
-        assert eval_w_series(0.5, 0, 2 + 1j) == pytest.approx(1.0)
+    """C_n(z) = sum_k g_k g_{n-k} w^(n-2k), evaluated as g_n w^n times
+    normalized_on_ellipse."""
 
     def test_second_kind_geometric(self):
         # lam = 1: all g_k = 1, so the series is sum w^(n-2k)
         w = 1.5
         n = 5
         expected = sum(w ** (n - 2 * k) for k in range(n + 1))
-        assert eval_w_series(1.0, n, w) == pytest.approx(expected, rel=1e-14)
+        got = w ** n * normalized_on_ellipse(1.0, n, w)
+        assert got == pytest.approx(expected, rel=1e-14)
 
     def test_matches_recurrence(self):
         theta = 2 * np.pi * np.arange(64) / 64
         for lam in LAM_GRID:
+            g = g_coeff_sequence(lam, 60)
             for rho in (1.1, 1.5, 2.5):
                 w = rho * np.exp(1j * theta)
                 z = 0.5 * (w + 1.0 / w)
                 for n in (0, 1, 8, 31, 60):
-                    a = eval_w_series(lam, n, w)
+                    a = g[n] * w ** n * normalized_on_ellipse(lam, n, w)
                     b = eval_recurrence(lam, n, z)
                     assert np.max(np.abs(a - b) / np.abs(b)) < 1e-10
 
 
 class TestNormalizedOnEllipse:
     def test_degree_zero_is_one(self):
-        assert normalized_on_ellipse(0.5, 0, 1.7 + 0.4j) == pytest.approx(1.0)
+        for w in (1.7 + 0.4j, 2 + 1j):
+            assert normalized_on_ellipse(0.5, 0, w) == pytest.approx(1.0)
 
     def test_unit_disk_rejected(self):
-        with pytest.raises(ValueError):
-            normalized_on_ellipse(0.5, 3, 1.0)
+        for w in (1.0, 0.9, np.exp(0.3j)):
+            with pytest.raises(ValueError):
+                normalized_on_ellipse(0.5, 3, w)
 
     def test_lam_one_geometric_limit(self):
         rho = 1.5
@@ -174,14 +171,16 @@ class TestNormalizedOnEllipse:
         assert abs(got - lim) <= remainder_exact(lam, n, w) * (1 + 1e-12)
 
     def test_agrees_with_direct_ratio(self):
-        # against eval_w_series / (g_n w^n) while that is still computable
+        # against the recurrence's C_n(z) / (g_n w^n) while that is still
+        # computable
         theta = 2 * np.pi * np.arange(16) / 16
         for lam in (-0.3, 0.5, 1.5, 3.2):
             for rho in (1.2, 2.0):
                 w = rho * np.exp(1j * theta)
+                z = 0.5 * (w + 1.0 / w)
                 for n in (1, 7, 40):
                     g_n = g_coeff_sequence(lam, n)[n]
-                    direct = eval_w_series(lam, n, w) / (g_n * w ** n)
+                    direct = eval_recurrence(lam, n, z) / (g_n * w ** n)
                     got = normalized_on_ellipse(lam, n, w)
                     np.testing.assert_allclose(got, direct, rtol=1e-11)
 

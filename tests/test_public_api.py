@@ -18,6 +18,8 @@ REMOVED = (
     "interval_distance",
     "perimeter_estimate",
     "best_bound_over_rho",
+    "EllipseSpec",
+    "eval_w_series",
 )
 
 
