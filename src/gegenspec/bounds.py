@@ -275,17 +275,24 @@ def _breakdown(factors, param, n: int, rho: float, m_rho: float) -> BoundBreakdo
     """Evaluate factors at one (rho, M_rho).
 
     rho goes in as a one-element array so the arithmetic runs through the
-    same numpy loops as a grid scan, and the two agree bit for bit.
+    same numpy loops as a grid scan, and the two agree bit for bit.  A
+    factor that overflows (a huge rho or M_rho) raises ValueError rather
+    than returning a non-finite total.
     """
     lam = as_param(param).lam
     _check_bound_args(n, rho, m_rho)
-    theorem_id, flags, const, rate = factors(lam, n, np.array([rho], float), m_rho)
+    with np.errstate(over="ignore", invalid="ignore"):
+        theorem_id, flags, const, rate = factors(lam, n, np.array([rho], float), m_rho)
     const, rate = float(const[0]), float(rate[0])
+    total = const * rate
+    if not math.isfinite(total):
+        raise ValueError(f"{theorem_id} bound is not finite at rho={rho:g}, "
+                         f"M_rho={m_rho:g}")
     return BoundBreakdown(
         theorem_id=theorem_id,
         constant_factor=const,
         rate_factor=rate,
-        total=const * rate,
+        total=total,
         parameters={"lambda": lam, "n": n, "rho": rho, "M_rho": m_rho},
         flags=flags,
     )

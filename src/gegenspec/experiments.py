@@ -1,12 +1,15 @@
 """Experiment harness: node dumps, tightness studies, bound-versus-error runs.
 
-Measured errors escalate to the arbitrary-precision path whenever the double
-path returns a value too close to its own rounding floor (threshold 1e-8):
-node-differencing noise grows like n^2 * eps, so beyond n ~ 45 a double
-measurement would sit orders of magnitude above the true error while the
-certified bound keeps shrinking.
+Measured errors escalate whenever the double path returns a value too close
+to its own rounding floor (threshold 1e-8): node-differencing noise grows
+like n^2 * eps, so beyond n ~ 45 a double measurement would sit orders of
+magnitude above the true error while the certified bound keeps shrinking.
+Interpolation and differentiation errors escalate to Hermite's formula in
+double precision (operators.hermite_*_error), which has no such floor;
+quadrature and expansion errors escalate to 35-digit mpmath (highprec).
 """
 
+import cmath
 import io
 import json
 import math
@@ -31,6 +34,8 @@ from .nodes import GAUSS, GAUSS_LOBATTO, gauss_lobatto_nodes, gauss_nodes
 from .operators import (
     GRID_SIZE,
     differentiate_at_nodes,
+    hermite_diff_error,
+    hermite_interp_error,
     interpolate,
     truncated_expansion_error,
 )
@@ -99,14 +104,25 @@ class TestFunction:
     """A built-in study function with hard-coded analytic derivative.
 
     The callables are polymorphic: they accept numpy arrays (real or complex)
-    and mpmath scalars alike.  rho_sup is the supremum of admissible ellipse
-    radii (None when the function is entire).
+    and mpmath scalars alike.  poles lists the principal parts of u, each
+    (a, (c_1, c_2, ...)) for the terms c_k / (z - a)^k; u is analytic
+    everywhere else.
     """
 
     name: str
     u: object
     du: object
-    rho_sup: float | None
+    poles: tuple
+
+    @property
+    def rho_sup(self) -> float | None:
+        """Supremum of admissible ellipse radii: the radius of the Bernstein
+        ellipse through the nearest pole (None when u is entire)."""
+        radii = []
+        for a, _ in self.poles:
+            w = cmath.sqrt(a * a - 1)
+            radii.append(max(abs(a + w), abs(a - w)))
+        return min(radii, default=None)
 
 
 def _runge1(x):
@@ -136,18 +152,21 @@ CUSTOM_RATIONAL = "custom-rational"
 def make_rational(pole_imag: float) -> TestFunction:
     """1/(x^2 + s^2) with poles at +-is; admissible rho < s + sqrt(s^2+1)."""
     s2 = pole_imag * pole_imag
+    a, c = 1j * pole_imag, -0.5j / pole_imag
     return TestFunction(
         name=f"{CUSTOM_RATIONAL}(s={pole_imag:g})",
         u=lambda x: 1 / (x * x + s2),
         du=lambda x: -2 * x / (x * x + s2) ** 2,
-        rho_sup=pole_imag + math.sqrt(s2 + 1.0),
+        poles=((a, (c,)), (-a, (-c,))),
     )
 
 
 TEST_FUNCTIONS = {
-    "runge1": TestFunction("runge1", _runge1, _runge1_d, RHO_SUP_UNIT_POLES),
-    "runge2": TestFunction("runge2", _runge2, _runge2_d, RHO_SUP_UNIT_POLES),
-    "exp": TestFunction("exp", _exp, _exp, None),
+    "runge1": TestFunction("runge1", _runge1, _runge1_d,
+                           ((1j, (-0.5j,)), (-1j, (0.5j,)))),
+    "runge2": TestFunction("runge2", _runge2, _runge2_d,
+                           ((1j, (-0.25j, -0.25)), (-1j, (0.25j, -0.25)))),
+    "exp": TestFunction("exp", _exp, _exp, ()),
 }
 
 
@@ -237,7 +256,7 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ExperimentRecord:
-    """One (lambda, n, family) row; backend is "float64" or "mpmath"."""
+    """One (lambda, n, family) row; backend is "float64", "hermite" or "mpmath"."""
 
     lam: float
     n: int
@@ -268,30 +287,36 @@ def _node_set(param, n, family):
     raise ConfigError(f"unknown node family {family!r}")
 
 
-def _escalate(err, exact):
+def _escalate(err, exact, backend):
     """(err, "float64") if the double measurement err is at least
-    MP_ESCALATE_BELOW, else (exact(), "mpmath")."""
+    MP_ESCALATE_BELOW, else (exact(), backend)."""
     if err >= MP_ESCALATE_BELOW:
         return err, "float64"
-    return exact(), "mpmath"
+    return exact(), backend
 
 
 def measure_diff_error(param, n, family, fn: TestFunction):
-    """Max node-differencing error; (value, backend) with mpmath escalation."""
+    """Max node-differencing error; (value, backend), escalating to Hermite's
+    formula."""
     ns = _node_set(param, n, family)
     vals = fn.u(ns.nodes)
     err = float(np.max(np.abs(differentiate_at_nodes(ns, vals) - fn.du(ns.nodes))))
     return _escalate(
-        err, lambda: highprec.diff_error_mp(param, n, family, fn.u, fn.du)
+        err, lambda: float(np.max(np.abs(hermite_diff_error(ns, fn.u, fn.poles)))),
+        "hermite",
     )
 
 
 def measure_interp_error(param, n, family, fn: TestFunction):
-    """Max interpolation error on the uniform grid; escalates to mpmath."""
+    """Max interpolation error on the uniform grid; escalates to Hermite's
+    formula."""
     ns = _node_set(param, n, family)
     xs = np.linspace(-1.0, 1.0, GRID_SIZE)
     err = float(np.max(np.abs(interpolate(ns, fn.u(ns.nodes), xs) - fn.u(xs))))
-    return _escalate(err, lambda: highprec.interp_error_mp(param, n, family, fn.u))
+    return _escalate(
+        err, lambda: float(np.max(np.abs(hermite_interp_error(ns, fn.u, fn.poles, xs)))),
+        "hermite",
+    )
 
 
 def measure_quad_error(param, n, family, fn: TestFunction):
@@ -301,13 +326,13 @@ def measure_quad_error(param, n, family, fn: TestFunction):
     ref_rule = gauss_nodes(p, max(4 * (n + 1), 128))
     ref = float(np.dot(ref_rule.quad_weights, fn.u(ref_rule.nodes)))
     err = abs(ref - float(np.dot(ns.quad_weights, fn.u(ns.nodes))))
-    return _escalate(err, lambda: highprec.quad_error_mp(p, n, family, fn.u))
+    return _escalate(err, lambda: highprec.quad_error_mp(p, n, family, fn.u), "mpmath")
 
 
 def measure_expansion_error(param, fn: TestFunction, n):
     """Truncated-expansion max-grid error; escalates to mpmath."""
     err = truncated_expansion_error(param, fn.u, n)
-    return _escalate(err, lambda: highprec.expansion_error_mp(param, fn.u, n))
+    return _escalate(err, lambda: highprec.expansion_error_mp(param, fn.u, n), "mpmath")
 
 
 def scan_function(fn: TestFunction):

@@ -1,11 +1,13 @@
-"""Arbitrary-precision reference measurements (mpmath).
+"""Arbitrary-precision quadrature and expansion error measurements (mpmath).
 
-Spectral errors decay below the double-precision noise floor (which scales
-like n^2 * 2.2e-16 for node differencing) long before the certified bounds
-stop shrinking, so honest bound-versus-error comparisons at large n need a
-measurement path whose own rounding floor is far lower.  Everything here
-mirrors the double-precision operators with mpmath arithmetic; node starting
-values come from the fast double path and are Newton-refined.
+Spectral errors decay below the double-precision noise floor long before
+the certified bounds stop shrinking, so honest bound-versus-error
+comparisons at large n need a measurement path whose own rounding floor is
+far lower.  Interpolation and differentiation errors get one in double
+precision from Hermite's formula (operators.hermite_*_error); the quadrature
+and truncated-expansion errors come from here, where everything mirrors
+the double-precision operators with mpmath arithmetic.  Node
+starting values come from the fast double path and are Newton-refined.
 """
 
 import mpmath as mp
@@ -17,8 +19,6 @@ from .special import as_param
 __all__ = [
     "gauss_nodes_mp",
     "lobatto_nodes_mp",
-    "diff_error_mp",
-    "interp_error_mp",
     "quad_error_mp",
     "expansion_error_mp",
 ]
@@ -113,38 +113,6 @@ def _interpolant_mp(xs, b, uv, x):
         num += t * uj
         den += t
     return num / den
-
-
-def diff_error_mp(param, n: int, family: str, u, du) -> float:
-    """Exact max over the nodes of |interpolant derivative - u'|.
-
-    u and du must accept mpmath arguments (plain rational expressions do).
-    """
-    with mp.workdps(DPS):
-        xs, b, uv = _interpolation_data(param, n, family, u)
-        worst = mp.mpf(0)
-        for j in range(len(xs)):
-            row_sum = mp.mpf(0)
-            acc = mp.mpf(0)
-            for k in range(len(xs)):
-                if k == j:
-                    continue
-                d_jk = (b[k] / b[j]) / (xs[j] - xs[k])
-                row_sum += d_jk
-                acc += d_jk * uv[k]
-            acc += -row_sum * uv[j]      # negative-sum diagonal
-            worst = max(worst, abs(acc - du(xs[j])))
-        return float(worst)
-
-
-def interp_error_mp(param, n: int, family: str, u) -> float:
-    """Exact max over the uniform grid of |interpolant - u|."""
-    with mp.workdps(DPS):
-        xs, b, uv = _interpolation_data(param, n, family, u)
-        worst = mp.mpf(0)
-        for xg in _grid_mp():
-            worst = max(worst, abs(_interpolant_mp(xs, b, uv, xg) - u(xg)))
-        return float(worst)
 
 
 def quad_error_mp(param, n: int, family: str, u) -> float:

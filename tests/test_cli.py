@@ -351,6 +351,12 @@ NON_FINITE = [
     pytest.param(["expansion-decay"],
                  {"function_id": CUSTOM_RATIONAL, "rational_pole_imag": math.inf},
                  "pole height", id="expansion-decay-pole"),
+    # finite inputs whose bound overflows: an error naming the theorem and inputs
+    pytest.param([*BOUNDS, "--rho", "1e200", "--theorem", "T42"], None,
+                 "T42 bound is not finite at rho=1e+200, M_rho=1", id="T42-rho-overflow"),
+    pytest.param([*BOUNDS, "--rho", "2", "--m-rho", "1e308", "--theorem", "T42"], None,
+                 "T42 bound is not finite at rho=2, M_rho=1e+308",
+                 id="T42-m-rho-overflow"),
 ]
 
 

@@ -83,6 +83,21 @@ class TestFunctions:
         assert fn.u(0.0) == pytest.approx(4.0)
         assert fn.rho_sup == pytest.approx(0.5 + math.sqrt(1.25))
 
+    @pytest.mark.parametrize("fn", [
+        ex.TEST_FUNCTIONS["runge1"], ex.TEST_FUNCTIONS["runge2"],
+        ex.make_rational(0.05), ex.make_rational(0.8), ex.make_rational(3.0),
+    ], ids=lambda fn: fn.name)
+    def test_poles_are_the_principal_parts(self, fn):
+        # a rational u vanishing at infinity is the sum of its principal parts
+        z = np.array([0.3 + 0.2j, -0.7 + 1.9j, 2.5 - 0.4j, -0.1 - 4.0j, 1e-3 + 0.5j])
+        total = sum(c / (z - a) ** k for a, cs in fn.poles
+                    for k, c in enumerate(cs, start=1))
+        np.testing.assert_allclose(total, fn.u(z), rtol=1e-13)
+
+    def test_entire_function_has_no_poles(self):
+        fn = ex.TEST_FUNCTIONS["exp"]
+        assert fn.poles == () and fn.rho_sup is None
+
     def test_mp_compatible(self):
         import mpmath as mp
 
@@ -102,15 +117,21 @@ class TestRecord:
 
 class TestMeasurement:
     def test_escalation_kicks_in(self, monkeypatch):
-        # every kind shares one escalation step; the mpmath call is replaced
-        # by a sentinel so both branches run without mpmath work
+        # every kind shares one escalation step; the exact path (Hermite's
+        # formula for diff and interp, mpmath for quad and expansion) is
+        # replaced by a sentinel so both branches run without the exact work
         fn = ex.TEST_FUNCTIONS["runge1"]
         sentinel = 1.25e-30
-        for kind in ("diff", "interp", "quad", "expansion"):
+        exact = {"diff": (ex, "hermite_diff_error", "hermite"),
+                 "interp": (ex, "hermite_interp_error", "hermite"),
+                 "quad": (highprec, "quad_error_mp", "mpmath"),
+                 "expansion": (highprec, "expansion_error_mp", "mpmath")}
+        for kind, (module, name, backend) in exact.items():
             calls = []
+            # the Hermite functions return signed values, measured as their max |.|
+            value = np.array([-sentinel, 0.5 * sentinel]) if backend == "hermite" else sentinel
             monkeypatch.setattr(
-                highprec, f"{kind}_error_mp",
-                lambda *args: calls.append(args) or sentinel,
+                module, name, lambda *args: calls.append(args) or value,
             )
             measure = getattr(ex, f"measure_{kind}_error")
 
@@ -123,7 +144,7 @@ class TestMeasurement:
             assert backend_small == "float64", kind
             assert ex.MP_ESCALATE_BELOW <= err_small < 1.0, kind
             assert calls == [], kind
-            assert run(56) == (sentinel, "mpmath"), kind
+            assert run(56) == (sentinel, backend), kind
             assert len(calls) == 1, kind
 
     def test_quad_measurement_legendre(self):

@@ -1,0 +1,110 @@
+"""Hermite's formula for the interpolation and differentiation errors against
+the independent mpmath oracle, and its behaviour at large n."""
+
+import numpy as np
+import pytest
+
+import mp_oracle
+from gegenspec import experiments as ex
+from gegenspec.nodes import GAUSS, GAUSS_LOBATTO, gauss_lobatto_nodes, gauss_nodes
+from gegenspec.operators import GRID_SIZE, hermite_diff_error, hermite_interp_error
+
+BUILD = {GAUSS: gauss_nodes, GAUSS_LOBATTO: gauss_lobatto_nodes}
+GRID = np.linspace(-1.0, 1.0, GRID_SIZE)
+# every 20th grid point, the ends and the midpoint included
+POINTS = GRID[::20]
+RTOL = 1e-10
+# at 35 digits the oracle's own rounding reaches ~1e-10 of the n = 64 errors
+# (~1e-25); at 50 digits it agrees with Hermite's formula to ~3e-14
+ORACLE_DPS = 50
+
+FUNCTIONS = {
+    "runge1": ex.TEST_FUNCTIONS["runge1"],
+    "runge2": ex.TEST_FUNCTIONS["runge2"],
+    "rational-0.3": ex.make_rational(0.3),
+}
+CELLS = [
+    pytest.param(name, lam, family, n, id=f"{name}-{lam}-{family}-{n}")
+    for name in FUNCTIONS for lam in (0.5, 1.5)
+    for family in (GAUSS, GAUSS_LOBATTO) for n in (24, 64)
+]
+
+
+def _assert_interp_matches(fn, lam, family, n, dps=ORACLE_DPS):
+    got = hermite_interp_error(BUILD[family](lam, n), fn.u, fn.poles, POINTS)
+    want = np.array(mp_oracle.interp_remainder_mp(lam, n, family, fn.u, POINTS, dps))
+    scale = np.max(np.abs(want))
+    assert scale > 0
+    worst = float(np.max(np.abs(got - want))) / scale
+    assert worst <= RTOL, worst
+
+
+def _assert_diff_matches(fn, lam, family, n, dps=ORACLE_DPS):
+    got = float(np.max(np.abs(hermite_diff_error(BUILD[family](lam, n), fn.u, fn.poles))))
+    want = mp_oracle.diff_error_mp(lam, n, family, fn.u, fn.du, dps)
+    assert got == pytest.approx(want, rel=RTOL)
+
+
+@pytest.mark.parametrize("name,lam,family,n", CELLS)
+def test_interp_matches_oracle(name, lam, family, n):
+    _assert_interp_matches(FUNCTIONS[name], lam, family, n)
+
+
+@pytest.mark.parametrize("name,lam,family,n", CELLS)
+def test_diff_matches_oracle(name, lam, family, n):
+    _assert_diff_matches(FUNCTIONS[name], lam, family, n)
+
+
+def test_escalated_measurements_match_oracle():
+    # rows past the double floor report the Hermite value over the full grid
+    fn = ex.TEST_FUNCTIONS["runge1"]
+    err, backend = ex.measure_interp_error(0.5, 44, GAUSS_LOBATTO, fn)
+    assert backend == "hermite"
+    assert err == pytest.approx(
+        mp_oracle.interp_error_mp(0.5, 44, GAUSS_LOBATTO, fn.u, ORACLE_DPS), rel=RTOL)
+    err, backend = ex.measure_diff_error(1.5, 56, GAUSS, fn)
+    assert backend == "hermite"
+    assert err == pytest.approx(
+        mp_oracle.diff_error_mp(1.5, 56, GAUSS, fn.u, fn.du, ORACLE_DPS), rel=RTOL)
+
+
+@pytest.mark.parametrize("family", (GAUSS, GAUSS_LOBATTO))
+def test_exp_matches_80_digit_oracle(family):
+    # entire u: the whole divided difference comes from the contour term;
+    # the errors (~1e-59) lie far below a 35-digit evaluation's noise
+    fn = ex.TEST_FUNCTIONS["exp"]
+    _assert_interp_matches(fn, 0.5, family, 40, dps=80)
+    _assert_diff_matches(fn, 0.5, family, 40, dps=80)
+
+
+@pytest.mark.parametrize("lam,family", [(0.5, GAUSS), (1.5, GAUSS_LOBATTO)])
+def test_large_n_rational_matches_double(lam, family):
+    # poles at +-0.01i: at n = 1000 the error is far above the double noise,
+    # while omega(x) / omega(a) as a plain product of factors would overflow
+    fn = ex.make_rational(0.01)
+    ns = BUILD[family](lam, 1000)
+    interp_dbl, backend = ex.measure_interp_error(lam, 1000, family, fn)
+    assert backend == "float64"
+    got = np.max(np.abs(hermite_interp_error(ns, fn.u, fn.poles, GRID)))
+    assert got == pytest.approx(interp_dbl, rel=1e-8)
+    diff_dbl, backend = ex.measure_diff_error(lam, 1000, family, fn)
+    assert backend == "float64"
+    got = np.max(np.abs(hermite_diff_error(ns, fn.u, fn.poles)))
+    assert got == pytest.approx(diff_dbl, rel=1e-8)
+
+
+def test_large_n_exp_is_finite():
+    # the true errors underflow double precision; the result must not be NaN
+    fn = ex.TEST_FUNCTIONS["exp"]
+    ns = gauss_nodes(0.5, 200)
+    for values in (hermite_interp_error(ns, fn.u, fn.poles, GRID),
+                   hermite_diff_error(ns, fn.u, fn.poles)):
+        err = float(np.max(np.abs(values)))
+        assert np.isfinite(err) and err >= 0.0
+
+
+def test_zero_at_nodes():
+    fn = ex.TEST_FUNCTIONS["runge2"]
+    ns = gauss_lobatto_nodes(1.5, 10)
+    values = hermite_interp_error(ns, fn.u, fn.poles, ns.nodes)
+    assert np.array_equal(values, np.zeros(11))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import mp_oracle
 from gegenspec import highprec
 from gegenspec.nodes import GAUSS, GAUSS_LOBATTO, gauss_lobatto_nodes, gauss_nodes
 from gegenspec.operators import differentiate_at_nodes, truncated_expansion_error
@@ -26,7 +27,7 @@ class TestErrorsAgreeWithDouble:
     def test_diff_error(self):
         ns = gauss_nodes(0.5, 18)
         dbl = np.max(np.abs(differentiate_at_nodes(ns, RUNGE(ns.nodes)) - RUNGE_D(ns.nodes)))
-        ref = highprec.diff_error_mp(0.5, 18, GAUSS, RUNGE, RUNGE_D)
+        ref = mp_oracle.diff_error_mp(0.5, 18, GAUSS, RUNGE, RUNGE_D)
         assert dbl == pytest.approx(ref, rel=1e-6)
 
     def test_interp_error(self):
@@ -35,7 +36,7 @@ class TestErrorsAgreeWithDouble:
         ns = gauss_lobatto_nodes(1.5, 14)
         xs = np.linspace(-1, 1, 2001)
         dbl = np.max(np.abs(interpolate(ns, RUNGE(ns.nodes), xs) - RUNGE(xs)))
-        ref = highprec.interp_error_mp(1.5, 14, GAUSS_LOBATTO, RUNGE)
+        ref = mp_oracle.interp_error_mp(1.5, 14, GAUSS_LOBATTO, RUNGE)
         assert dbl == pytest.approx(ref, rel=1e-6)
 
     def test_quad_error(self):
@@ -57,12 +58,12 @@ class TestBeyondDoubleFloor:
     def test_diff_error_below_noise(self):
         # at n = 64 the double floor sits near 1e-12; the true error is
         # twelve orders below and still resolved
-        err = highprec.diff_error_mp(0.5, 64, GAUSS, RUNGE, RUNGE_D)
+        err = mp_oracle.diff_error_mp(0.5, 64, GAUSS, RUNGE, RUNGE_D)
         assert 0.0 < err < 1e-18
 
     def test_errors_keep_decaying(self):
         errs = [
-            highprec.diff_error_mp(0.5, n, GAUSS, RUNGE, RUNGE_D)
+            mp_oracle.diff_error_mp(0.5, n, GAUSS, RUNGE, RUNGE_D)
             for n in (40, 48, 56)
         ]
         assert errs[1] < 1e-2 * errs[0]

@@ -20,6 +20,8 @@ REMOVED = (
     "best_bound_over_rho",
     "EllipseSpec",
     "eval_w_series",
+    "interp_error_mp",     # the mpmath oracle lives in tests/mp_oracle.py
+    "diff_error_mp",
 )
 
 
