@@ -23,6 +23,7 @@ from .nodes import (
     GAUSS,
     GAUSS_LOBATTO,
     NodeSet,
+    gauss_rule,
     gauss_nodes,
     gauss_lobatto_nodes,
     quad_weights_interpolatory,
@@ -64,8 +65,8 @@ __all__ = [
     "total_mass",
     "eval_recurrence", "recurrence_table", "eval_derivative",
     "normalized_on_ellipse", "value_at_one",
-    "GAUSS", "GAUSS_LOBATTO", "NodeSet", "gauss_nodes", "gauss_lobatto_nodes",
-    "quad_weights_interpolatory", "barycentric_weights",
+    "GAUSS", "GAUSS_LOBATTO", "NodeSet", "gauss_rule", "gauss_nodes",
+    "gauss_lobatto_nodes", "quad_weights_interpolatory", "barycentric_weights",
     "DiffMatrix", "interpolate", "diff_matrix", "differentiate_at_nodes",
     "expansion_coeffs", "truncated_expansion_error",
     "BoundBreakdown", "PoleOnContourError", "ellipse_points",

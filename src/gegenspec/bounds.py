@@ -42,9 +42,9 @@ FLAG_SKIPPED_RHO = "skipped rho values with non-finite max"
 ELLIPSE_SAMPLES = 2048
 
 # boundary points per call of u in scan_sups: the rho block is this many
-# points // samples rows (16 rows of ELLIPSE_SAMPLES), enough to amortize the
-# per-call cost while the block's complex temporaries stay around a megabyte
-# each
+# points // (samples//2 + 1) rows (31 rows of the 1025 angles a scan with
+# ELLIPSE_SAMPLES evaluates), enough to amortize the per-call cost while the
+# block's complex temporaries stay around half a megabyte each
 _SCAN_POINTS = 1 << 15
 
 # remainder_exact stops its infinite tail once a term is at most this
@@ -83,12 +83,6 @@ class BoundBreakdown:
         return d
 
 
-def _unit_samples(samples: int) -> np.ndarray:
-    """e^{i theta_j} at the Fourier angles theta_j = 2 pi j / samples."""
-    theta = 2.0 * np.pi * np.arange(samples) / samples
-    return np.exp(1j * theta)
-
-
 def _check_rho(rho: float):
     if not (math.isfinite(rho) and rho > 1.0):
         raise ValueError(f"rho must be finite and > 1, got {rho}")
@@ -99,7 +93,8 @@ def ellipse_points(rho: float) -> tuple[np.ndarray, np.ndarray]:
     w_j = rho e^{i theta_j} at the ELLIPSE_SAMPLES Fourier angles
     theta_j = 2 pi j / ELLIPSE_SAMPLES, z_j = (w_j + 1/w_j)/2."""
     _check_rho(rho)
-    w = rho * _unit_samples(ELLIPSE_SAMPLES)
+    theta = 2.0 * np.pi * np.arange(ELLIPSE_SAMPLES) / ELLIPSE_SAMPLES
+    w = rho * np.exp(1j * theta)
     return w, 0.5 * (w + 1.0 / w)
 
 
@@ -480,7 +475,14 @@ def rho_scan_grid(rho_min: float, rho_max: float, count: int) -> np.ndarray:
 def scan_sups(u, rhos, samples: int = ELLIPSE_SAMPLES):
     """Boundary sups of |u| for each rho; non-finite entries become NaN.
 
-    u is called on blocks of several ellipses at once, raveled to 1-D.
+    u must be real on [-1, 1], u(conj z) = conj u(z), so |u| takes the same
+    value at the conjugate angles theta_j and theta_{samples-j}.  u is
+    evaluated only at theta_j = 2 pi j / samples for j = 0..samples//2, and
+    the sup still covers all `samples` angles, for even and odd counts.  The
+    points z = a cos theta + i b sin theta, a, b = (rho +- 1/rho)/2, come from
+    real arithmetic, and u is called on blocks of several ellipses at once,
+    raveled to 1-D.
+
     Returns (sups, any_skipped).  The sups depend on u and rho only, so
     callers scanning many degrees should compute them once.  Raises
     PoleOnContourError when every rho has a non-finite sample; a pole merely
@@ -492,15 +494,19 @@ def scan_sups(u, rhos, samples: int = ELLIPSE_SAMPLES):
         raise ValueError("rho must be > 1")
     if samples < 4:
         raise ValueError("samples must be >= 4")
-    unit = _unit_samples(samples)
-    rows = max(1, _SCAN_POINTS // samples)
+    theta = 2.0 * np.pi * np.arange(samples // 2 + 1) / samples
+    cos, sin = np.cos(theta), np.sin(theta)
+    rows = max(1, _SCAN_POINTS // len(theta))
     sups = np.empty(len(rhos))
     for start in range(0, len(rhos), rows):
-        w = rhos[start:start + rows, None] * unit
-        z = (0.5 * (w + 1.0 / w)).ravel()
-        vals = np.abs(np.broadcast_to(u(z), z.shape)).reshape(w.shape)
-        finite = np.all(np.isfinite(vals), axis=1)
-        sups[start:start + rows] = np.where(finite, np.max(vals, axis=1), np.nan)
+        r = rhos[start:start + rows, None]
+        z = np.empty((len(r), len(theta)), dtype=complex)
+        np.multiply(0.5 * (r + 1.0 / r), cos, out=z.real)
+        np.multiply(0.5 * (r - 1.0 / r), sin, out=z.imag)
+        z = z.ravel()
+        vals = np.abs(np.broadcast_to(u(z), z.shape)).reshape(len(r), len(theta))
+        sups[start:start + rows] = np.max(vals, axis=1)
+    sups[~np.isfinite(sups)] = np.nan
     skipped = bool(np.any(np.isnan(sups)))
     if skipped and np.all(np.isnan(sups)):
         raise PoleOnContourError("every scanned rho had a non-finite boundary max")

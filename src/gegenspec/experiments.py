@@ -30,7 +30,7 @@ from .bounds import (
     rho_scan_grid,
     scan_sups,
 )
-from .nodes import GAUSS, GAUSS_LOBATTO, gauss_lobatto_nodes, gauss_nodes
+from .nodes import GAUSS, GAUSS_LOBATTO, gauss_lobatto_nodes, gauss_nodes, gauss_rule
 from .operators import (
     GRID_SIZE,
     differentiate_at_nodes,
@@ -323,8 +323,8 @@ def measure_quad_error(param, n, family, fn: TestFunction):
     """|weighted integral of (u - interpolant)|; escalates to mpmath."""
     p = as_param(param)
     ns = _node_set(p, n, family)
-    ref_rule = gauss_nodes(p, max(4 * (n + 1), 128))
-    ref = float(np.dot(ref_rule.quad_weights, fn.u(ref_rule.nodes)))
+    ref_nodes, ref_weights = gauss_rule(p, max(4 * (n + 1), 128))
+    ref = float(np.dot(ref_weights, fn.u(ref_nodes)))
     err = abs(ref - float(np.dot(ns.quad_weights, fn.u(ns.nodes))))
     return _escalate(err, lambda: highprec.quad_error_mp(p, n, family, fn.u), "mpmath")
 

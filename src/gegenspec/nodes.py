@@ -2,9 +2,12 @@
 
 Nodes come from the symmetric tridiagonal eigenproblem of the orthonormalized
 three-term recurrence, then Newton-polished to the scaled-residual tolerance
-1e-14.  Gauss quadrature weights come from the eigenvector first components;
-Lobatto weights always go through the interpolatory formula so one fully
-testable code path covers them.
+1e-14.  Gauss quadrature weights come from the eigenvector first components.
+gauss_rule returns that bare (nodes, weights) rule; the Lobatto interior, the
+internal rule of the interpolatory weights and the reference rules of the
+error measurements use it, so no barycentric weights are built that nobody
+reads.  Lobatto weights always go through the interpolatory formula so one
+fully testable code path covers them.
 """
 
 from dataclasses import dataclass
@@ -19,6 +22,7 @@ __all__ = [
     "GAUSS",
     "GAUSS_LOBATTO",
     "NodeSet",
+    "gauss_rule",
     "gauss_nodes",
     "gauss_lobatto_nodes",
     "quad_weights_interpolatory",
@@ -66,27 +70,30 @@ def _jacobi_offdiag(lam: float, count: int) -> np.ndarray:
     return np.sqrt(beta2)
 
 
-def gauss_nodes(param, n: int) -> NodeSet:
-    """Gauss node set: the n+1 zeros of C_{n+1}, with quadrature weights.
+def gauss_rule(param, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss rule (nodes, quadrature weights) on the n+1 zeros of C_{n+1}.
 
     Eigenvalues of the (n+1)x(n+1) Jacobi matrix give global starting values;
     two Newton steps restore full precision.  Weights are the scaled squares
-    of the eigenvector first components.
+    of the eigenvector first components.  Both arrays are symmetrized.
     """
     p = as_param(param)
     if n < 0:
         raise ValueError("n must be a nonnegative integer")
     count = n + 1
     if count == 1:
-        x = np.array([0.0])
-        w = np.array([total_mass(p)])
-    else:
-        x, vecs = eigh_tridiagonal(np.zeros(count), _jacobi_offdiag(p.lam, count))
-        w = total_mass(p) * vecs[0] ** 2
-        for _ in range(2):
-            x = x - eval_recurrence(p, n + 1, x) / eval_derivative(p, n + 1, x)
-        x = 0.5 * (x - x[::-1])
-        w = 0.5 * (w + w[::-1])
+        return np.array([0.0]), np.array([total_mass(p)])
+    x, vecs = eigh_tridiagonal(np.zeros(count), _jacobi_offdiag(p.lam, count))
+    w = total_mass(p) * vecs[0] ** 2
+    for _ in range(2):
+        x = x - eval_recurrence(p, n + 1, x) / eval_derivative(p, n + 1, x)
+    return 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
+
+
+def gauss_nodes(param, n: int) -> NodeSet:
+    """Gauss node set: gauss_rule plus barycentric weights."""
+    p = as_param(param)
+    x, w = gauss_rule(p, n)
     return NodeSet(GAUSS, p, n, x, w, barycentric_weights(x))
 
 
@@ -101,27 +108,28 @@ def gauss_lobatto_nodes(param, n: int) -> NodeSet:
     if n == 1:
         x = np.array([-1.0, 1.0])
     else:
-        interior = gauss_nodes(p.lam + 1.0, n - 2).nodes
+        interior, _ = gauss_rule(p.lam + 1.0, n - 2)
         x = np.concatenate([[-1.0], interior, [1.0]])
-    w = quad_weights_interpolatory(x, p)
-    return NodeSet(GAUSS_LOBATTO, p, n, x, w, barycentric_weights(x))
+    b = barycentric_weights(x)
+    return NodeSet(GAUSS_LOBATTO, p, n, x, _interpolatory(x, b, p), b)
 
 
 def quad_weights_interpolatory(nodes, param) -> np.ndarray:
-    """Interpolatory weights: integral of each Lagrange basis times the weight.
+    """Interpolatory weights: integral of each Lagrange basis times the weight."""
+    x = np.asarray(nodes, dtype=float)
+    if len(np.unique(x)) != len(x):
+        raise ValueError("nodes must be distinct")
+    return _interpolatory(x, barycentric_weights(x), as_param(param))
+
+
+def _interpolatory(x, b, p) -> np.ndarray:
+    """Interpolatory weights of nodes x with barycentric weights b.
 
     Each basis polynomial (degree n) is integrated exactly by an internal
     Gauss rule of the same weight function with n+2 points.
     """
-    p = as_param(param)
-    x = np.asarray(nodes, dtype=float)
-    n = len(x) - 1
-    if len(np.unique(x)) != len(x):
-        raise ValueError("nodes must be distinct")
-    rule = gauss_nodes(p, n + 1)           # n+2 points, exact through degree 2n+3
-    b = barycentric_weights(x)
-    L = _lagrange_matrix(x, b, rule.nodes)
-    return L @ rule.quad_weights
+    y, wq = gauss_rule(p, len(x))          # n+2 points, exact through degree 2n+3
+    return _lagrange_matrix(x, b, y) @ wq
 
 
 def _lagrange_matrix(x, b, y) -> np.ndarray:
@@ -129,8 +137,8 @@ def _lagrange_matrix(x, b, y) -> np.ndarray:
     diff = y[None, :] - x[:, None]
     hit_rows, hit_cols = np.nonzero(diff == 0.0)
     diff[hit_rows, hit_cols] = 1.0
-    terms = b[:, None] / diff
-    L = terms / np.sum(terms, axis=0, keepdims=True)
+    L = np.divide(b[:, None], diff, out=diff)
+    L /= np.sum(L, axis=0, keepdims=True)
     if hit_rows.size:
         L[:, hit_cols] = 0.0
         L[hit_rows, hit_cols] = 1.0
@@ -148,10 +156,10 @@ def barycentric_weights(nodes) -> np.ndarray:
     if m == 1:
         return np.array([1.0])
     diff = x[:, None] - x[None, :]
-    absd = np.abs(diff)
+    signs = np.where((np.sum(diff < 0, axis=1) % 2) == 0, 1.0, -1.0)
+    absd = np.abs(diff, out=diff)
     np.fill_diagonal(absd, 1.0)
     if np.any(absd == 0.0):
         raise ValueError("nodes must be distinct")
-    logb = -np.sum(np.log(absd), axis=1)
-    signs = np.where((np.sum(diff < 0, axis=1) % 2) == 0, 1.0, -1.0)
+    logb = -np.sum(np.log(absd, out=absd), axis=1)
     return signs * np.exp(logb - np.max(logb))

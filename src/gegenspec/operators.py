@@ -76,7 +76,7 @@ def diff_matrix(node_set: NodeSet) -> DiffMatrix:
     b = node_set.bary_weights
     diff = x[:, None] - x[None, :]
     np.fill_diagonal(diff, 1.0)
-    D = (b[None, :] / b[:, None]) / diff
+    D = np.divide(b[None, :] / b[:, None], diff, out=diff)
     np.fill_diagonal(D, 0.0)
     np.fill_diagonal(D, -np.sum(D, axis=1))
     return DiffMatrix(node_set, D)

@@ -27,6 +27,24 @@ from gegenspec.poly import normalized_on_ellipse
 RUNGE = lambda z: 1.0 / (1.0 + z * z)
 RHO_SUP = 1.0 + math.sqrt(2.0)
 
+# real on [-1, 1] but not even: |u| differs between z and -z
+SHIFTED = lambda z: 1.0 / ((z - 0.3) ** 2 + 0.04)
+# |u| peaks at theta = pi, the last angle the half-ellipse scan evaluates
+EXP_LEFT = lambda z: np.exp(-3.0 * z)
+
+
+def full_circle_sups(u, rhos, samples):
+    """Sample max of |u| over all `samples` angles of each ellipse, from
+    w = rho e^{i theta} and z = (w + 1/w)/2."""
+    unit = np.exp(1j * (2.0 * np.pi * np.arange(samples) / samples))
+    rhos = np.asarray(rhos)
+    out = np.empty(len(rhos))
+    for start in range(0, len(rhos), 64):
+        w = rhos[start:start + 64, None] * unit
+        out[start:start + 64] = np.max(np.abs(u(0.5 * (w + 1.0 / w))), axis=1)
+    return out
+
+
 REMAINDER_LATTICE = [
     (lam, n, rho)
     for lam in (-0.3, 0.5, 1.5, 3.2)
@@ -474,6 +492,35 @@ class TestScanSups:
         for rho, got in zip(rhos, sups):
             w = rho * np.exp(1j * theta)
             assert got == np.max(np.abs(RUNGE(0.5 * (w + 1.0 / w))))
+
+    @pytest.mark.parametrize("fn", [
+        *TEST_FUNCTIONS.values(), *(make_rational(s) for s in (0.05, 0.07, 0.1)),
+    ], ids=["runge1", "runge2", "exp", "rational-0.05", "rational-0.07", "rational-0.1"])
+    def test_study_functions_match_full_circle(self, fn):
+        # the half-ellipse scan equals the sample max over every angle
+        rhos, sups, skipped = scan_function(fn)
+        assert not skipped
+        np.testing.assert_array_equal(sups, full_circle_sups(fn.u, rhos, ELLIPSE_SAMPLES))
+
+    @pytest.mark.parametrize("samples", (2048, 101, 7))
+    @pytest.mark.parametrize("u", (RUNGE, SHIFTED, EXP_LEFT),
+                             ids=("runge", "shifted", "exp-left"))
+    def test_odd_counts_and_non_even_functions(self, u, samples):
+        # poles of SHIFTED sit on the ellipse of radius ~1.23
+        rhos = rho_scan_grid(1.0, 1.15, 37)
+        sups, skipped = scan_sups(u, rhos, samples)
+        assert not skipped
+        np.testing.assert_allclose(sups, full_circle_sups(u, rhos, samples), rtol=1e-13, atol=0)
+
+    def test_infinite_sample_marks_row(self):
+        rhos = rho_scan_grid(1.0, 3.0, 40)
+        _, z = ellipse_points(float(rhos[7]))
+        pole = complex(z[0])
+        with np.errstate(divide="ignore"):
+            sups, skipped = scan_sups(lambda zz: 1.0 / np.abs(zz - pole), rhos, 16)
+        assert skipped
+        assert np.isnan(sups[7])
+        assert np.all(np.isfinite(np.delete(sups, 7)))
 
     def test_pole_on_sampled_contour_gives_nan(self):
         rhos = rho_scan_grid(1.0, 3.0, 40)

@@ -2,6 +2,10 @@ import argparse
 import dataclasses
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -384,3 +388,18 @@ class TestErrorPaths:
         with pytest.raises(SystemExit) as exc:
             run_cli(["frobnicate"])
         assert exc.value.code == 2
+
+
+class TestModuleEntryPoint:
+    def test_python_m_runs_main(self, capsys):
+        argv = ["bounds", "--lambda", "0.5", "--n", "10", "--rho", "2",
+                "--m-rho", "1", "--theorem", "T42"]
+        assert run_cli(argv) == 0
+        want = capsys.readouterr().out
+        src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "gegenspec", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == want

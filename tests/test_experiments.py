@@ -6,7 +6,13 @@ import pytest
 
 from gegenspec import experiments as ex
 from gegenspec import highprec
-from gegenspec.bounds import minimize_bound_on_grid, quad_bound, rho_scan_grid, scan_sups
+from gegenspec.bounds import (
+    ellipse_points,
+    minimize_bound_on_grid,
+    quad_bound,
+    rho_scan_grid,
+    scan_sups,
+)
 from gegenspec.nodes import GAUSS, GAUSS_LOBATTO
 
 FIG3_KEYS = ("lambda_list", "n_list", "function_id", "rational_pole_imag")
@@ -93,6 +99,14 @@ class TestFunctions:
         total = sum(c / (z - a) ** k for a, cs in fn.poles
                     for k, c in enumerate(cs, start=1))
         np.testing.assert_allclose(total, fn.u(z), rtol=1e-13)
+
+    @pytest.mark.parametrize("fn", [*ex.TEST_FUNCTIONS.values(), ex.make_rational(0.07)],
+                             ids=["runge1", "runge2", "exp", "rational-0.07"])
+    def test_modulus_is_conjugate_symmetric(self, fn):
+        # bounds.scan_sups evaluates half of each ellipse and relies on this
+        for rho in (1.01, 1.5, 2.3, 4.0):
+            _, z = ellipse_points(rho)
+            assert np.array_equal(np.abs(fn.u(np.conj(z))), np.abs(fn.u(z)))
 
     def test_entire_function_has_no_poles(self):
         fn = ex.TEST_FUNCTIONS["exp"]

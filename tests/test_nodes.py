@@ -6,11 +6,14 @@ import pytest
 from gegenspec.nodes import (
     GAUSS,
     GAUSS_LOBATTO,
+    _lagrange_matrix,
     barycentric_weights,
     gauss_lobatto_nodes,
     gauss_nodes,
+    gauss_rule,
     quad_weights_interpolatory,
 )
+from gegenspec.operators import diff_matrix
 from gegenspec.poly import eval_derivative, eval_recurrence
 from gegenspec.special import total_mass
 
@@ -225,3 +228,63 @@ class TestNodeSetValidation:
         ns = gauss_nodes(0.5, 3)
         with pytest.raises(ValueError):
             ns.nodes[0] = 0.0
+
+
+# The O(n^2) kernels write into their difference matrix in place.  These are
+# the out-of-place versions they replaced; the same operations in the same
+# order must give the same bits.
+
+def barycentric_weights_out_of_place(x):
+    diff = x[:, None] - x[None, :]
+    absd = np.abs(diff)
+    np.fill_diagonal(absd, 1.0)
+    logb = -np.sum(np.log(absd), axis=1)
+    signs = np.where((np.sum(diff < 0, axis=1) % 2) == 0, 1.0, -1.0)
+    return signs * np.exp(logb - np.max(logb))
+
+
+def lagrange_matrix_out_of_place(x, b, y):
+    diff = y[None, :] - x[:, None]
+    hit_rows, hit_cols = np.nonzero(diff == 0.0)
+    diff[hit_rows, hit_cols] = 1.0
+    terms = b[:, None] / diff
+    L = terms / np.sum(terms, axis=0, keepdims=True)
+    if hit_rows.size:
+        L[:, hit_cols] = 0.0
+        L[hit_rows, hit_cols] = 1.0
+    return L
+
+
+def diff_matrix_out_of_place(ns):
+    x, b = ns.nodes, ns.bary_weights
+    diff = x[:, None] - x[None, :]
+    np.fill_diagonal(diff, 1.0)
+    D = (b[None, :] / b[:, None]) / diff
+    np.fill_diagonal(D, 0.0)
+    np.fill_diagonal(D, -np.sum(D, axis=1))
+    return D
+
+
+@pytest.mark.parametrize("n", (1, 2, 5, 64, 300))
+@pytest.mark.parametrize("lam", LAM_GRID)
+class TestBitIdentity:
+    def test_gauss_rule_is_gauss_nodes(self, lam, n):
+        x, w = gauss_rule(lam, n)
+        ns = gauss_nodes(lam, n)
+        assert np.array_equal(x, ns.nodes) and np.array_equal(w, ns.quad_weights)
+
+    def test_lobatto_weights_match_public_routes(self, lam, n):
+        ns = gauss_lobatto_nodes(lam, n)
+        assert np.array_equal(ns.bary_weights, barycentric_weights(ns.nodes))
+        assert np.array_equal(ns.quad_weights, quad_weights_interpolatory(ns.nodes, lam))
+
+    def test_in_place_kernels_match_out_of_place(self, lam, n):
+        for ns in (gauss_nodes(lam, n), gauss_lobatto_nodes(lam, n)):
+            x, b = ns.nodes, ns.bary_weights
+            assert np.array_equal(b, barycentric_weights_out_of_place(x))
+            assert np.array_equal(diff_matrix(ns).entries, diff_matrix_out_of_place(ns))
+            y, _ = gauss_rule(lam, n + 1)
+            # the second target set hits two nodes exactly
+            for targets in (y, np.concatenate([y, x[:1], x[-1:]])):
+                assert np.array_equal(_lagrange_matrix(x, b, targets),
+                                      lagrange_matrix_out_of_place(x, b, targets))
