@@ -16,6 +16,7 @@ from .poly import (
     eval_recurrence,
     recurrence_table,
     eval_derivative,
+    eval_with_derivative,
     normalized_on_ellipse,
     value_at_one,
 )
@@ -64,7 +65,7 @@ __all__ = [
     "GegenbauerParam", "g_coeff_sequence", "d_coeff_sequence", "h_norm",
     "total_mass",
     "eval_recurrence", "recurrence_table", "eval_derivative",
-    "normalized_on_ellipse", "value_at_one",
+    "eval_with_derivative", "normalized_on_ellipse", "value_at_one",
     "GAUSS", "GAUSS_LOBATTO", "NodeSet", "gauss_rule", "gauss_nodes",
     "gauss_lobatto_nodes", "quad_weights_interpolatory", "barycentric_weights",
     "DiffMatrix", "interpolate", "diff_matrix", "differentiate_at_nodes",

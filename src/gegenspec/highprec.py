@@ -7,7 +7,10 @@ far lower.  Interpolation and differentiation errors get one in double
 precision from Hermite's formula (operators.hermite_*_error); the quadrature
 and truncated-expansion errors come from here, where everything mirrors
 the double-precision operators with mpmath arithmetic.  Node
-starting values come from the fast double path and are Newton-refined.
+starting values come from the fast double path and are Newton-refined until
+a step leaves the node unchanged, at most 5 steps.  The recurrence
+coefficients are built once per (lam, degree), and the expansion error takes
+every C_l at a quadrature node from one sweep.
 """
 
 import mpmath as mp
@@ -27,19 +30,31 @@ __all__ = [
 DPS = 35
 
 
-def _geg(lam, n, x):
-    """C_n at an mpmath point by the forward recurrence."""
-    c_prev = mp.mpf(1)
-    if n == 0:
-        return c_prev
-    c = 2 * lam * x
-    for m in range(2, n + 1):
-        c_prev, c = c, (2 * (m + lam - 1) * x * c - (m + 2 * lam - 2) * c_prev) / m
-    return c
+def _recurrence(lam, n):
+    """Coefficients of the forward recurrence up to degree n, built once.
+
+    2 lam for C_1, then (2 (m + lam - 1), m + 2 lam - 2, m) for m = 2..n,
+    with m C_m = 2 (m + lam - 1) x C_{m-1} - (m + 2 lam - 2) C_{m-2}; each
+    is an mpf at the working precision.
+    """
+    return 2 * lam, [(2 * (m + lam - 1), m + 2 * lam - 2, m) for m in range(2, n + 1)]
 
 
-def _dgeg(lam, n, x):
-    return 2 * lam * _geg(lam + 1, n - 1, x)
+def _geg_values(rec, n, x):
+    """[C_0(x), ..., C_n(x)] at an mpmath point; rec = _recurrence(lam, N), N >= n."""
+    two_lam, steps = rec
+    vals = [mp.mpf(1)]
+    if n >= 1:
+        vals.append(two_lam * x)
+        for a, b, m in steps[: n - 1]:
+            vals.append((a * x * vals[-1] - b * vals[-2]) / m)
+    return vals
+
+
+def _dgeg(rec, drec, n, x):
+    """C_n'(x) = 2 lam C_{n-1}(x) of the family lam+1; drec = _recurrence(lam + 1, N)."""
+    two_lam, _ = rec
+    return two_lam * _geg_values(drec, n - 1, x)[-1]
 
 
 def _h_norm_mp(lam, n):
@@ -59,15 +74,24 @@ def _grid_mp():
 
 
 def gauss_nodes_mp(param, n: int):
-    """Gauss nodes refined to DPS digits (Newton from the double-path values)."""
+    """Gauss nodes refined to DPS digits.
+
+    Newton runs from the double-path values until a step leaves the node
+    unchanged, at most 5 steps.  A step is a fixed map of the node, so
+    stopping at its fixed point gives what all 5 steps would, bit for bit.
+    """
     p = as_param(param)
     with mp.workdps(DPS):
         lam = mp.mpf(p.lam)
+        rec, drec = _recurrence(lam, n + 1), _recurrence(lam + 1, n)
         out = []
-        for x0 in _nodes.gauss_nodes(p, n).nodes:
+        for x0 in _nodes.gauss_rule(p, n)[0]:
             x = mp.mpf(float(x0))
             for _ in range(5):
-                x = x - _geg(lam, n + 1, x) / _dgeg(lam, n + 1, x)
+                step = x - _geg_values(rec, n + 1, x)[-1] / _dgeg(rec, drec, n + 1, x)
+                if step == x:
+                    break
+                x = step
             out.append(x)
     return out
 
@@ -127,9 +151,10 @@ def quad_error_mp(param, n: int, family: str, u) -> float:
     with mp.workdps(DPS):
         lam = mp.mpf(p.lam)
         xs, b, uv = _interpolation_data(p, n, family, u)
-        weight = lambda x: (1 - x * x) ** (lam - mp.mpf(1) / 2)
+        expo = lam - mp.mpf(1) / 2
         err = mp.quad(
-            lambda x: (u(x) - _interpolant_mp(xs, b, uv, x)) * weight(x), [-1, 0, 1]
+            lambda x: (u(x) - _interpolant_mp(xs, b, uv, x)) * (1 - x * x) ** expo,
+            [-1, 0, 1],
         )
         return float(abs(err))
 
@@ -144,31 +169,27 @@ def expansion_error_mp(param, u, n: int) -> float:
     with mp.workdps(DPS):
         lam = mp.mpf(p.lam)
         npts = 2 * (n + 1)
-        ys = gauss_nodes_mp(p, npts - 1)
-        # classical weights: (k_{N}/k_{N-1}) h_{N-1} / (C_{N-1}(y) C'_N(y))
         nn = npts - 1
+        ys = gauss_nodes_mp(p, nn)
+        rec, drec = _recurrence(lam, nn), _recurrence(lam + 1, nn)
+        # C_0 .. C_nn at each quadrature node, one sweep per node
+        tables = [_geg_values(rec, nn, y) for y in ys]
+        # classical weights: (k_{N}/k_{N-1}) h_{N-1} / (C_{N-1}(y) C'_N(y))
         lead_ratio = 2 * (nn + lam) / (nn + 1)
         h_prev = _h_norm_mp(lam, nn)
         ws = [
-            lead_ratio * h_prev / (_geg(lam, nn, y) * _dgeg(lam, npts, y)) for y in ys
+            lead_ratio * h_prev / (t[nn] * _dgeg(rec, drec, npts, y))
+            for t, y in zip(tables, ys)
         ]
         uv = [u(y) for y in ys]
         coeffs = []
         for l in range(n + 1):
-            s = mp.fsum(w * uy * _geg(lam, l, y) for w, uy, y in zip(ws, uv, ys))
+            s = mp.fsum(w * uy * t[l] for w, uy, t in zip(ws, uv, tables))
             coeffs.append(s / _h_norm_mp(lam, l))
         worst = mp.mpf(0)
         for xg in _grid_mp():
-            # one recurrence sweep accumulating all degrees
             acc = coeffs[0]
-            c_prev = mp.mpf(1)
-            if n >= 1:
-                c = 2 * lam * xg
-                acc += coeffs[1] * c
-                for m in range(2, n + 1):
-                    c_prev, c = c, (
-                        2 * (m + lam - 1) * xg * c - (m + 2 * lam - 2) * c_prev
-                    ) / m
-                    acc += coeffs[m] * c
+            for ck, cx in zip(coeffs[1:], _geg_values(rec, n, xg)[1:]):
+                acc += ck * cx
             worst = max(worst, abs(acc - u(xg)))
         return float(worst)

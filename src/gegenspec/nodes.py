@@ -2,7 +2,8 @@
 
 Nodes come from the symmetric tridiagonal eigenproblem of the orthonormalized
 three-term recurrence, then Newton-polished to the scaled-residual tolerance
-1e-14.  Gauss quadrature weights come from the eigenvector first components.
+1e-14; each Newton step evaluates C_{n+1} and its derivative in one sweep.
+Gauss quadrature weights come from the eigenvector first components.
 gauss_rule returns that bare (nodes, weights) rule; the Lobatto interior, the
 internal rule of the interpolatory weights and the reference rules of the
 error measurements use it, so no barycentric weights are built that nobody
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .poly import eval_derivative, eval_recurrence
+from .poly import eval_with_derivative
 from .special import as_param, total_mass
 
 __all__ = [
@@ -74,8 +75,10 @@ def gauss_rule(param, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss rule (nodes, quadrature weights) on the n+1 zeros of C_{n+1}.
 
     Eigenvalues of the (n+1)x(n+1) Jacobi matrix give global starting values;
-    two Newton steps restore full precision.  Weights are the scaled squares
-    of the eigenvector first components.  Both arrays are symmetrized.
+    two Newton steps restore full precision, each taking C_{n+1} and its
+    derivative from one recurrence sweep (eval_with_derivative).  Weights are
+    the scaled squares of the eigenvector first components.  Both arrays are
+    symmetrized.
     """
     p = as_param(param)
     if n < 0:
@@ -86,7 +89,8 @@ def gauss_rule(param, n: int) -> tuple[np.ndarray, np.ndarray]:
     x, vecs = eigh_tridiagonal(np.zeros(count), _jacobi_offdiag(p.lam, count))
     w = total_mass(p) * vecs[0] ** 2
     for _ in range(2):
-        x = x - eval_recurrence(p, n + 1, x) / eval_derivative(p, n + 1, x)
+        c, dc = eval_with_derivative(p, n + 1, x)
+        x = x - c / dc
     return 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
 
 

@@ -2,7 +2,10 @@
 
 Two routes are provided and cross-checked by the test suite:
 
-* the three-term recurrence (real or complex argument, vectorized),
+* the three-term recurrence (real or complex argument, vectorized), one
+  in-place sweep that eval_recurrence, recurrence_table and
+  eval_with_derivative share; the last carries the families lam and lam+1
+  through it together, for the Newton polish of the Gauss nodes,
 * the w-series C_n(z) = sum_k g_k g_{n-k} w^{n-2k}, valid off the unit disk
   with z = (w + 1/w)/2, in the normalized form C_n(z)/(g_n w^n) built
   entirely from O(1) coefficient ratios, stable for arbitrarily large n.
@@ -20,6 +23,7 @@ __all__ = [
     "eval_recurrence",
     "recurrence_table",
     "eval_derivative",
+    "eval_with_derivative",
     "normalized_on_ellipse",
     "value_at_one",
 ]
@@ -34,22 +38,49 @@ def _as_points(x):
     return np.atleast_1d(arr), scalar
 
 
-def eval_recurrence(param, n: int, x):
-    """C_n at x (scalar or array, real or complex) by forward recurrence.
+def _sweep(lams, n: int, pts):
+    """Forward recurrence for several families at once, in place.
+
+    Yields (C_{m-1}, C_m) at the points pts for m = 1..n (nothing for
+    n = 0); row r of each array belongs to the family lams[r].  Both arrays
+    are overwritten by the next step, so copy what must outlive it.
 
     C_0 = 1, C_1 = 2 lam x,
-    m C_m = 2 (m + lam - 1) x C_{m-1} - (m + 2 lam - 2) C_{m-2}.
+    m C_m = 2 (m + lam - 1) x C_{m-1} - (m + 2 lam - 2) C_{m-2},
+    each product and difference taken in that order for every row.
     """
+    if n < 1:
+        return
+    col = np.asarray(lams, dtype=float).reshape((-1,) + (1,) * pts.ndim)
+    c_prev = np.ones(col.shape[:1] + pts.shape, dtype=pts.dtype)
+    c = 2.0 * col * pts
+    yield c_prev, c
+    ms = np.arange(2.0, n + 1.0).reshape((-1,) + (1,) * col.ndim)
+    a = 2.0 * (ms + col - 1.0)
+    b = ms + 2.0 * col - 2.0
+    nxt = np.empty_like(c)
+    for m in range(2, n + 1):
+        np.multiply(a[m - 2], pts, out=nxt)
+        nxt *= c
+        c_prev *= b[m - 2]
+        nxt -= c_prev
+        nxt /= m
+        c_prev, c, nxt = c, nxt, c_prev
+        yield c_prev, c
+
+
+def eval_recurrence(param, n: int, x):
+    """C_n at x (scalar or array, real or complex) by forward recurrence."""
     lam = as_param(param).lam
     if n < 0:
         raise ValueError("n must be a nonnegative integer")
     pts, scalar = _as_points(x)
-    c_prev = np.ones_like(pts)
     if n == 0:
-        return c_prev[0] if scalar else c_prev
-    c = 2.0 * lam * pts
-    for m in range(2, n + 1):
-        c_prev, c = c, (2.0 * (m + lam - 1.0) * pts * c - (m + 2.0 * lam - 2.0) * c_prev) / m
+        c = np.ones_like(pts)
+    else:
+        for _, rows in _sweep((lam,), n, pts):
+            pass
+        c = rows[0]
     return c[0] if scalar else c
 
 
@@ -61,11 +92,8 @@ def recurrence_table(param, n: int, x) -> np.ndarray:
     pts, _ = _as_points(x)
     table = np.empty((n + 1,) + pts.shape, dtype=pts.dtype)
     table[0] = 1.0
-    if n >= 1:
-        table[1] = 2.0 * lam * pts
-    for m in range(2, n + 1):
-        table[m] = (2.0 * (m + lam - 1.0) * pts * table[m - 1]
-                    - (m + 2.0 * lam - 2.0) * table[m - 2]) / m
+    for m, (_, rows) in enumerate(_sweep((lam,), n, pts), start=1):
+        table[m] = rows[0]
     return table
 
 
@@ -75,6 +103,22 @@ def eval_derivative(param, n: int, x):
     if n < 1:
         raise ValueError("n must be >= 1 for the derivative")
     return 2.0 * p.lam * eval_recurrence(p.lam + 1.0, n - 1, x)
+
+
+def eval_with_derivative(param, n: int, x):
+    """(C_n, C_n') at x from one sweep over the families lam and lam+1.
+
+    At real points the values are those of eval_recurrence and
+    eval_derivative, bit for bit.  Needs n >= 1.
+    """
+    p = as_param(param)
+    if n < 1:
+        raise ValueError("n must be >= 1 for the derivative")
+    pts, scalar = _as_points(x)
+    for prev, rows in _sweep((p.lam, p.lam + 1.0), n, pts):
+        pass
+    c, dc = rows[0], 2.0 * p.lam * prev[1]
+    return (c[0], dc[0]) if scalar else (c, dc)
 
 
 def normalized_on_ellipse(param, n: int, w):

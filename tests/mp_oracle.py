@@ -4,11 +4,98 @@ errors: the barycentric formulas evaluated in mpmath on Newton-refined nodes.
 The library measures these errors with Hermite's formula in double precision
 (operators.hermite_*_error); the tests compare it against this slow, plainly
 written path.  u and du must accept mpmath arguments.
+
+It also keeps plain copies of the high-precision node and expansion paths:
+the recurrence with its coefficients rebuilt at every step, always five
+Newton steps per node, and one recurrence per degree in the expansion.  The
+library's versions must agree with them bit for bit.
 """
+
+from functools import lru_cache
 
 import mpmath as mp
 
-from gegenspec.highprec import DPS, _grid_mp, _interpolant_mp, _interpolation_data
+from gegenspec import nodes as _nodes
+from gegenspec.highprec import (
+    DPS,
+    _grid_mp,
+    _h_norm_mp,
+    _interpolant_mp,
+    _interpolation_data,
+)
+from gegenspec.special import as_param
+
+
+def geg_plain(lam, n, x):
+    """C_n at an mpmath point by the forward recurrence."""
+    c_prev = mp.mpf(1)
+    if n == 0:
+        return c_prev
+    c = 2 * lam * x
+    for m in range(2, n + 1):
+        c_prev, c = c, (2 * (m + lam - 1) * x * c - (m + 2 * lam - 2) * c_prev) / m
+    return c
+
+
+def dgeg_plain(lam, n, x):
+    return 2 * lam * geg_plain(lam + 1, n - 1, x)
+
+
+@lru_cache(maxsize=None)
+def gauss_nodes_mp_plain(lam: float, n: int) -> tuple:
+    """Gauss nodes at DPS digits: five Newton steps from the double-path values."""
+    p = as_param(lam)
+    with mp.workdps(DPS):
+        lam = mp.mpf(p.lam)
+        out = []
+        for x0 in _nodes.gauss_nodes(p, n).nodes:
+            x = mp.mpf(float(x0))
+            for _ in range(5):
+                x = x - geg_plain(lam, n + 1, x) / dgeg_plain(lam, n + 1, x)
+            out.append(x)
+    return tuple(out)
+
+
+def lobatto_nodes_mp_plain(lam: float, n: int) -> list:
+    if n == 1:
+        return [mp.mpf(-1), mp.mpf(1)]
+    return [mp.mpf(-1), *gauss_nodes_mp_plain(lam + 1.0, n - 2), mp.mpf(1)]
+
+
+def expansion_error_mp_plain(lam: float, u, n: int) -> float:
+    """Max-grid error of the degree-n truncated expansion: one recurrence per
+    degree and quadrature node, one sweep per grid point."""
+    p = as_param(lam)
+    with mp.workdps(DPS):
+        lam = mp.mpf(p.lam)
+        npts = 2 * (n + 1)
+        nn = npts - 1
+        ys = gauss_nodes_mp_plain(p.lam, nn)
+        lead_ratio = 2 * (nn + lam) / (nn + 1)
+        h_prev = _h_norm_mp(lam, nn)
+        ws = [
+            lead_ratio * h_prev / (geg_plain(lam, nn, y) * dgeg_plain(lam, npts, y))
+            for y in ys
+        ]
+        uv = [u(y) for y in ys]
+        coeffs = []
+        for l in range(n + 1):
+            s = mp.fsum(w * uy * geg_plain(lam, l, y) for w, uy, y in zip(ws, uv, ys))
+            coeffs.append(s / _h_norm_mp(lam, l))
+        worst = mp.mpf(0)
+        for xg in _grid_mp():
+            acc = coeffs[0]
+            c_prev = mp.mpf(1)
+            if n >= 1:
+                c = 2 * lam * xg
+                acc += coeffs[1] * c
+                for m in range(2, n + 1):
+                    c_prev, c = c, (
+                        2 * (m + lam - 1) * xg * c - (m + 2 * lam - 2) * c_prev
+                    ) / m
+                    acc += coeffs[m] * c
+            worst = max(worst, abs(acc - u(xg)))
+        return float(worst)
 
 
 def diff_error_mp(param, n: int, family: str, u, du, dps: int = DPS) -> float:

@@ -68,3 +68,26 @@ class TestBeyondDoubleFloor:
         ]
         assert errs[1] < 1e-2 * errs[0]
         assert errs[2] < 1e-2 * errs[1]
+
+
+# The library's node and expansion paths build the recurrence coefficients
+# once, stop Newton at a fixed point and take every degree from one sweep;
+# mp_oracle keeps the plain versions.  The values must be the same mpf.
+
+@pytest.mark.parametrize("lam", (-0.3, 0.5, 1.5, 2.5))
+class TestBitIdentity:
+    def test_gauss_nodes_mp(self, lam):
+        for n in range(1, 65):
+            ref = list(mp_oracle.gauss_nodes_mp_plain(lam, n))
+            assert highprec.gauss_nodes_mp(lam, n) == ref
+
+    def test_lobatto_nodes_mp(self, lam):
+        # lam + 1 = 1.5 and 2.5 reuse the plain Gauss nodes cached above
+        for n in range(1, 65):
+            ref = mp_oracle.lobatto_nodes_mp_plain(lam, n)
+            assert highprec.lobatto_nodes_mp(lam, n) == ref
+
+    def test_expansion_error_mp(self, lam):
+        for n in (0, 1, 2, 5, 12, 24):
+            got = highprec.expansion_error_mp(lam, RUNGE, n)
+            assert got == mp_oracle.expansion_error_mp_plain(lam, RUNGE, n)

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from gegenspec.nodes import (
     GAUSS,
     GAUSS_LOBATTO,
+    _jacobi_offdiag,
     _lagrange_matrix,
     barycentric_weights,
     gauss_lobatto_nodes,
@@ -263,6 +265,27 @@ def diff_matrix_out_of_place(ns):
     np.fill_diagonal(D, 0.0)
     np.fill_diagonal(D, -np.sum(D, axis=1))
     return D
+
+
+def gauss_rule_two_call_polish(lam, n):
+    """gauss_rule with each Newton step from separate eval_recurrence and
+    eval_derivative calls."""
+    count = n + 1
+    if count == 1:
+        return np.array([0.0]), np.array([total_mass(lam)])
+    x, vecs = eigh_tridiagonal(np.zeros(count), _jacobi_offdiag(lam, count))
+    w = total_mass(lam) * vecs[0] ** 2
+    for _ in range(2):
+        x = x - eval_recurrence(lam, n + 1, x) / eval_derivative(lam, n + 1, x)
+    return 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
+
+
+@pytest.mark.parametrize("lam", LAM_GRID)
+def test_one_sweep_polish_matches_two_calls(lam):
+    for n in (*range(100), 255, 1023):
+        x, w = gauss_rule(lam, n)
+        x_ref, w_ref = gauss_rule_two_call_polish(lam, n)
+        assert np.array_equal(x, x_ref) and np.array_equal(w, w_ref)
 
 
 @pytest.mark.parametrize("n", (1, 2, 5, 64, 300))

@@ -6,6 +6,7 @@ import pytest
 from gegenspec.poly import (
     eval_derivative,
     eval_recurrence,
+    eval_with_derivative,
     calibrated_sup_scale,
     normalized_on_ellipse,
     recurrence_table,
@@ -122,6 +123,50 @@ class TestDerivative:
                 fd = (eval_recurrence(lam, n, xs + h) - eval_recurrence(lam, n, xs - h)) / (2 * h)
                 got = eval_derivative(lam, n, xs)
                 np.testing.assert_allclose(got, fd, rtol=1e-6, atol=1e-6)
+
+
+def recurrence_out_of_place(lam, n, x):
+    """The forward recurrence as one out-of-place expression per degree."""
+    c_prev = np.ones_like(x)
+    if n == 0:
+        return c_prev
+    c = 2.0 * lam * x
+    for m in range(2, n + 1):
+        c_prev, c = c, (2.0 * (m + lam - 1.0) * x * c - (m + 2.0 * lam - 2.0) * c_prev) / m
+    return c
+
+
+class TestInPlaceSweep:
+    """The in-place sweep shared by the recurrence routes gives the bits of
+    the out-of-place recurrence at real points (complex products may round
+    differently with the array layout, so complex points are checked by the
+    tolerance tests above)."""
+
+    @pytest.mark.parametrize("lam", LAM_GRID)
+    def test_matches_out_of_place(self, lam):
+        xs = np.concatenate([np.linspace(-1.0, 1.0, 41), [-1.7, 2.3]])
+        table = recurrence_table(lam, 60, xs)
+        for n in range(61):
+            ref = recurrence_out_of_place(lam, n, xs)
+            assert np.array_equal(eval_recurrence(lam, n, xs), ref)
+            assert np.array_equal(table[n], ref)
+            if n >= 1:
+                c, dc = eval_with_derivative(lam, n, xs)
+                d_ref = 2.0 * lam * recurrence_out_of_place(lam + 1.0, n - 1, xs)
+                assert np.array_equal(c, ref) and np.array_equal(dc, d_ref)
+
+    def test_scalar_and_shape(self):
+        c, dc = eval_with_derivative(1.5, 7, 0.3)
+        assert np.ndim(c) == 0 and np.ndim(dc) == 0
+        assert c == eval_recurrence(1.5, 7, 0.3) and dc == eval_derivative(1.5, 7, 0.3)
+        grid = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+        assert eval_recurrence(0.5, 9, grid).shape == (3, 4)
+        assert np.array_equal(eval_with_derivative(0.5, 9, grid)[1],
+                              eval_derivative(0.5, 9, grid))
+
+    def test_with_derivative_needs_positive_degree(self):
+        with pytest.raises(ValueError):
+            eval_with_derivative(0.5, 0, 0.3)
 
 
 class TestWSeries:
