@@ -45,6 +45,7 @@ from .bounds import (
     remainder_exact,
     remainder_bound,
     e_n_metric,
+    e_n_metrics,
     interp_bound_gauss,
     diff_bound_gauss,
     interp_bound_lobatto,
@@ -71,9 +72,9 @@ __all__ = [
     "DiffMatrix", "interpolate", "diff_matrix", "differentiate_at_nodes",
     "expansion_coeffs", "truncated_expansion_error",
     "BoundBreakdown", "PoleOnContourError", "ellipse_points",
-    "remainder_exact", "remainder_bound", "e_n_metric", "interp_bound_gauss",
-    "diff_bound_gauss", "interp_bound_lobatto", "diff_bound_lobatto",
-    "quad_bound",
+    "remainder_exact", "remainder_bound", "e_n_metric", "e_n_metrics",
+    "interp_bound_gauss", "diff_bound_gauss", "interp_bound_lobatto",
+    "diff_bound_lobatto", "quad_bound",
     "ExperimentConfig", "ExperimentRecord", "TEST_FUNCTIONS",
     "ConfigError", "DominanceError",
     "__version__",

@@ -24,6 +24,7 @@ __all__ = [
     "remainder_exact",
     "remainder_bound",
     "e_n_metric",
+    "e_n_metrics",
     "interp_bound_gauss",
     "diff_bound_gauss",
     "interp_bound_lobatto",
@@ -228,13 +229,15 @@ def remainder_bound(param, n: int, rho: float, m="auto") -> BoundBreakdown:
     )
 
 
-def e_n_metric(param, n: int, rho: float) -> float:
-    """Normalized sup discrepancy between the boundary series and its limit.
+def e_n_metrics(param, ns, rho: float) -> list[float]:
+    """Normalized sup discrepancy between the boundary series and its limit,
+    at each degree n in ns.
 
     E_n = max_z |(1-w^-2)^-lam - C_n(z)/(g_n w^n)| / A(rho, lam) over the
     ellipse_points of rho, with the normalization
     A = |1-lam| |(1-rho^-2)^-lam - 1|; lam = 1 degenerates (A = 0) and is
-    rejected.
+    rejected.  The points, the limit and A depend only on (lam, rho) and are
+    built once for all the degrees.
     """
     p = as_param(param)
     lam = p.lam
@@ -242,9 +245,14 @@ def e_n_metric(param, n: int, rho: float) -> float:
         raise ValueError("normalization degenerates at lambda = 1 (A = 0)")
     w, _ = ellipse_points(rho)
     limit = (1.0 - w ** -2.0) ** (-lam)
-    disc = np.max(np.abs(limit - normalized_on_ellipse(p, n, w)))
     a_norm = abs(1.0 - lam) * _head_factor(lam, rho)
-    return float(disc / a_norm)
+    return [float(np.max(np.abs(limit - normalized_on_ellipse(p, n, w))) / a_norm)
+            for n in ns]
+
+
+def e_n_metric(param, n: int, rho: float) -> float:
+    """E_n of e_n_metrics at the one degree n."""
+    return e_n_metrics(param, (n,), rho)[0]
 
 
 # The interp/diff bounds below are elementwise in rho and M_rho.  Each is

@@ -23,7 +23,7 @@ from . import highprec
 from .bounds import (
     ELLIPSE_SAMPLES,
     THEOREMS,
-    e_n_metric,
+    e_n_metrics,
     lookup_theorem,
     minimize_bound_on_grid,
     quad_bound,
@@ -450,12 +450,11 @@ def fig2_n_values() -> list:
 
 def run_fig2(config: ExperimentConfig):
     """Tightness rows (lambda, rho, n, E_n, n^-0.9, n^-1) for the config grid;
-    lambda = 1 raises ValueError (e_n_metric's normalization degenerates)."""
+    lambda = 1 raises ValueError (e_n_metrics' normalization degenerates)."""
     ns = fig2_n_values()
     rows = []
     for lam, rho in config.fig2_grid:
-        for n in ns:
-            e = e_n_metric(lam, n, rho)
+        for n, e in zip(ns, e_n_metrics(lam, ns, rho)):
             rows.append((lam, rho, n, e, n ** -0.9, 1.0 / n))
     return rows
 

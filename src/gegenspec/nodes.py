@@ -1,9 +1,10 @@
 """Gauss and Gauss-Lobatto node sets with quadrature and barycentric weights.
 
 Nodes come from the symmetric tridiagonal eigenproblem of the orthonormalized
-three-term recurrence, then Newton-polished to the scaled-residual tolerance
-1e-14; each Newton step evaluates C_{n+1} and its derivative in one sweep.
-Gauss quadrature weights come from the eigenvector first components.
+three-term recurrence, then take exactly two Newton steps (no residual test);
+each step evaluates C_{n+1} and its derivative in one sweep.  The nodes are
+then symmetrized, so x_{n-j} = -x_j exactly.  Gauss quadrature weights come
+from the eigenvector first components.
 gauss_rule returns that bare (nodes, weights) rule; the Lobatto interior, the
 internal rule of the interpolatory weights and the reference rules of the
 error measurements use it, so no barycentric weights are built that nobody

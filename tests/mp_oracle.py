@@ -5,10 +5,12 @@ The library measures these errors with Hermite's formula in double precision
 (operators.hermite_*_error); the tests compare it against this slow, plainly
 written path.  u and du must accept mpmath arguments.
 
-It also keeps plain copies of the high-precision node and expansion paths:
-the recurrence with its coefficients rebuilt at every step, always five
-Newton steps per node, and one recurrence per degree in the expansion.  The
-library's versions must agree with them bit for bit.
+It also keeps plain copies of the high-precision node, quadrature and
+expansion paths, written with mpf operators on every node: the recurrence
+with its coefficients rebuilt at every step, always five Newton steps per
+node, one recurrence per degree in the expansion, and the barycentric
+interpolant inside mp.quad.  The library's versions (mirrored refinement,
+raw libmp kernels) must agree with them bit for bit.
 """
 
 from functools import lru_cache
@@ -60,6 +62,50 @@ def lobatto_nodes_mp_plain(lam: float, n: int) -> list:
     if n == 1:
         return [mp.mpf(-1), mp.mpf(1)]
     return [mp.mpf(-1), *gauss_nodes_mp_plain(lam + 1.0, n - 2), mp.mpf(1)]
+
+
+def interpolation_data_plain(lam: float, n: int, family: str, u):
+    """Plain nodes, barycentric weights 1 / prod_{k != j} (x_j - x_k) and values
+    of u at the nodes."""
+    if family == _nodes.GAUSS:
+        xs = list(gauss_nodes_mp_plain(lam, n))
+    else:
+        xs = lobatto_nodes_mp_plain(lam, n)
+    b = []
+    for j, xj in enumerate(xs):
+        prod = mp.mpf(1)
+        for k, xk in enumerate(xs):
+            if k != j:
+                prod *= xj - xk
+        b.append(1 / prod)
+    return xs, b, [u(x) for x in xs]
+
+
+def interpolant_mp_plain(xs, b, uv, x):
+    """Second-form barycentric interpolant at x; uv[j] exactly at node j."""
+    num = mp.mpf(0)
+    den = mp.mpf(0)
+    for xj, bj, uj in zip(xs, b, uv):
+        d = x - xj
+        if d == 0:
+            return uj
+        t = bj / d
+        num += t * uj
+        den += t
+    return num / den
+
+
+def quad_error_mp_plain(lam: float, n: int, family: str, u) -> float:
+    """|integral of (u - interpolant) times the weight| by mp.quad at DPS digits."""
+    p = as_param(lam)
+    with mp.workdps(DPS):
+        xs, b, uv = interpolation_data_plain(p.lam, n, family, u)
+        expo = mp.mpf(p.lam) - mp.mpf(1) / 2
+        err = mp.quad(
+            lambda x: (u(x) - interpolant_mp_plain(xs, b, uv, x)) * (1 - x * x) ** expo,
+            [-1, 0, 1],
+        )
+        return float(abs(err))
 
 
 def expansion_error_mp_plain(lam: float, u, n: int) -> float:

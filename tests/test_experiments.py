@@ -7,6 +7,7 @@ import pytest
 from gegenspec import experiments as ex
 from gegenspec import highprec
 from gegenspec.bounds import (
+    e_n_metric,
     ellipse_points,
     minimize_bound_on_grid,
     quad_bound,
@@ -250,6 +251,12 @@ class TestRunners:
         cfg = ex.ExperimentConfig(fig2_grid=((1.0, 1.4),))
         with pytest.raises(ValueError, match="degenerate"):
             ex.run_fig2(cfg)
+
+    def test_fig2_rows_are_e_n_metric(self):
+        # run_fig2 builds the (lam, rho) work once for all degrees; each
+        # value must be the single-degree metric's, bit for bit
+        for lam, rho, n, e, _, _ in ex.run_fig2(ex.ExperimentConfig()):
+            assert e == e_n_metric(lam, n, rho)
 
     def test_fig2_rows_within_envelopes(self):
         cfg = ex.ExperimentConfig()

@@ -3,6 +3,7 @@ import pytest
 
 import mp_oracle
 from gegenspec import highprec
+from gegenspec.experiments import TEST_FUNCTIONS
 from gegenspec.nodes import GAUSS, GAUSS_LOBATTO, gauss_lobatto_nodes, gauss_nodes
 from gegenspec.operators import differentiate_at_nodes, truncated_expansion_error
 
@@ -70,24 +71,41 @@ class TestBeyondDoubleFloor:
         assert errs[2] < 1e-2 * errs[1]
 
 
-# The library's node and expansion paths build the recurrence coefficients
-# once, stop Newton at a fixed point and take every degree from one sweep;
-# mp_oracle keeps the plain versions.  The values must be the same mpf.
+# The library's node, quadrature and expansion paths build the recurrence
+# coefficients once, stop Newton at a fixed point, refine only the upper half
+# of the nodes, take every degree from one sweep and run their hot loops on
+# raw libmp values; mp_oracle keeps the plain versions.  The values must be
+# the same mpf.
 
-@pytest.mark.parametrize("lam", (-0.3, 0.5, 1.5, 2.5))
+BIT_LAMS = (-0.3, 0.5, 1.5, 2.5)
+
+
 class TestBitIdentity:
+    @pytest.mark.parametrize("lam", BIT_LAMS)
     def test_gauss_nodes_mp(self, lam):
         for n in range(1, 65):
             ref = list(mp_oracle.gauss_nodes_mp_plain(lam, n))
             assert highprec.gauss_nodes_mp(lam, n) == ref
 
+    @pytest.mark.parametrize("lam", BIT_LAMS)
     def test_lobatto_nodes_mp(self, lam):
         # lam + 1 = 1.5 and 2.5 reuse the plain Gauss nodes cached above
         for n in range(1, 65):
             ref = mp_oracle.lobatto_nodes_mp_plain(lam, n)
             assert highprec.lobatto_nodes_mp(lam, n) == ref
 
+    @pytest.mark.parametrize("lam", BIT_LAMS)
     def test_expansion_error_mp(self, lam):
         for n in (0, 1, 2, 5, 12, 24):
             got = highprec.expansion_error_mp(lam, RUNGE, n)
             assert got == mp_oracle.expansion_error_mp_plain(lam, RUNGE, n)
+
+    @pytest.mark.parametrize("family", (GAUSS, GAUSS_LOBATTO))
+    @pytest.mark.parametrize("lam", (0.5, 1.5))
+    def test_quad_error_mp(self, lam, family):
+        # at n = 48 the 35-digit value is rounding noise, which only the
+        # same roundings reproduce
+        u = TEST_FUNCTIONS["runge1"].u
+        for n in (12, 48):
+            got = highprec.quad_error_mp(lam, n, family, u)
+            assert got == mp_oracle.quad_error_mp_plain(lam, n, family, u)

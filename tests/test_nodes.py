@@ -56,8 +56,16 @@ class TestGaussNodes:
     def test_symmetry_and_ordering(self, lam, n):
         ns = gauss_nodes(lam, n)
         assert np.all(np.diff(ns.nodes) > 0)
-        np.testing.assert_allclose(ns.nodes, -ns.nodes[::-1], atol=1e-14)
+        assert np.array_equal(ns.nodes, -ns.nodes[::-1])
         assert np.all(ns.nodes > -1.0) and np.all(ns.nodes < 1.0)
+
+    @pytest.mark.parametrize("lam", LAM_GRID)
+    def test_rule_nodes_exactly_antisymmetric(self, lam):
+        # highprec.gauss_nodes_mp refines only the upper half of these starts
+        # and negates it, which is exact only if the starts are
+        for n in [*range(100), 255]:
+            x = gauss_rule(lam, n)[0]
+            assert np.array_equal(x, -x[::-1]), n
 
     @pytest.mark.parametrize("lam", LAM_GRID)
     @pytest.mark.parametrize("n", [1, 5, 24, 128])
