@@ -25,6 +25,7 @@ from .nodes import (
     GAUSS_LOBATTO,
     NodeSet,
     gauss_rule,
+    closed_form_gauss_rule,
     gauss_nodes,
     gauss_lobatto_nodes,
     quad_weights_interpolatory,
@@ -67,8 +68,9 @@ __all__ = [
     "total_mass",
     "eval_recurrence", "recurrence_table", "eval_derivative",
     "eval_with_derivative", "normalized_on_ellipse", "value_at_one",
-    "GAUSS", "GAUSS_LOBATTO", "NodeSet", "gauss_rule", "gauss_nodes",
-    "gauss_lobatto_nodes", "quad_weights_interpolatory", "barycentric_weights",
+    "GAUSS", "GAUSS_LOBATTO", "NodeSet", "gauss_rule", "closed_form_gauss_rule",
+    "gauss_nodes", "gauss_lobatto_nodes", "quad_weights_interpolatory",
+    "barycentric_weights",
     "DiffMatrix", "interpolate", "diff_matrix", "differentiate_at_nodes",
     "expansion_coeffs", "truncated_expansion_error",
     "BoundBreakdown", "PoleOnContourError", "ellipse_points",

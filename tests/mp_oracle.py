@@ -11,6 +11,9 @@ with its coefficients rebuilt at every step, always five Newton steps per
 node, one recurrence per degree in the expansion, and the barycentric
 interpolant inside mp.quad.  The library's versions (mirrored refinement,
 raw libmp kernels) must agree with them bit for bit.
+
+gauss_node_weight_mp checks the closed-form Gauss weights against the
+Christoffel-number formula at 50 digits; it uses nothing from the library.
 """
 
 from functools import lru_cache
@@ -179,3 +182,37 @@ def interp_remainder_mp(param, n: int, family: str, u, points, dps: int = DPS) -
         xs, b, uv = _interpolation_data(param, n, family, u)
         return [float(u(x) - _interpolant_mp(xs, b, uv, x))
                 for x in map(mp.mpf, points)]
+
+
+def gauss_node_weight_mp(lam: float, n: int, start: float, dps: int = 50) -> tuple:
+    """(node, weight) of the (n+1)-point Gauss rule at dps digits, by Newton
+    from the float start on C_N, N = n+1, with the weight
+    (k_N/k_{N-1}) h_{N-1} / (C_{N-1}(x) C'_N(x)); k_m is the leading
+    coefficient of C_m and h_m its squared weighted norm.  C and C' come from
+    the recurrence and its derivative, all in mpmath."""
+    big_n = n + 1
+    with mp.workdps(dps):
+        lam = mp.mpf(lam)
+
+        def values(x):
+            """(C_{N-1}, C_N, C'_N) at x."""
+            c_prev, c = mp.mpf(1), 2 * lam * x
+            dc_prev, dc = mp.mpf(0), 2 * lam
+            for m in range(2, big_n + 1):
+                a, b = 2 * (m + lam - 1), m + 2 * lam - 2
+                c_prev, c, dc_prev, dc = (
+                    c, (a * x * c - b * c_prev) / m,
+                    dc, (a * (c + x * dc) - b * dc_prev) / m,
+                )
+            return c_prev, c, dc
+
+        x = mp.mpf(start)
+        for _ in range(4):
+            _, c, dc = values(x)
+            x -= c / dc
+        c_prev, _, dc = values(x)
+        m = big_n - 1
+        h_prev = (2 ** (1 - 2 * lam) * mp.pi * mp.gamma(m + 2 * lam)
+                  / (mp.gamma(lam) ** 2 * mp.factorial(m) * (m + lam)))
+        lead_ratio = 2 * (m + lam) / big_n
+        return x, lead_ratio * h_prev / (c_prev * dc)

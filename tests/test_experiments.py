@@ -14,7 +14,13 @@ from gegenspec.bounds import (
     rho_scan_grid,
     scan_sups,
 )
-from gegenspec.nodes import GAUSS, GAUSS_LOBATTO
+from gegenspec.nodes import (
+    GAUSS,
+    GAUSS_LOBATTO,
+    gauss_lobatto_nodes,
+    gauss_nodes,
+    gauss_rule,
+)
 
 FIG3_KEYS = ("lambda_list", "n_list", "function_id", "rational_pole_imag")
 
@@ -166,11 +172,31 @@ class TestMeasurement:
         fn = ex.TEST_FUNCTIONS["runge1"]
         err, backend = ex.measure_quad_error(0.5, 8, GAUSS, fn)
         # reference pi/2 is the exact weighted integral here
-        from gegenspec.nodes import gauss_nodes
-
         ns = gauss_nodes(0.5, 8)
         direct = abs(math.pi / 2 - float(np.dot(ns.quad_weights, fn.u(ns.nodes))))
         assert err == pytest.approx(direct, rel=1e-6)
+
+    # the three certify-shallow cells at two pole heights, and the runge rows
+    # of the study grid at small n
+    @pytest.mark.parametrize("fn,lam,family,n", [
+        *[(ex.make_rational(s), lam, family, n) for s in (0.05, 0.1)
+          for lam, family, n in ((0.5, GAUSS, 48), (1.5, GAUSS_LOBATTO, 64),
+                                 (3.2, GAUSS, 96))],
+        *[(ex.TEST_FUNCTIONS[name], lam, family, n) for name in ("runge1", "runge2")
+          for lam in (0.5, 1.5) for family in (GAUSS, GAUSS_LOBATTO) for n in (8, 16)],
+    ], ids=lambda v: v.name if isinstance(v, ex.TestFunction) else None)
+    def test_quad_first_pass_matches_eigenvector_reference(
+            self, monkeypatch, fn, lam, family, n):
+        # the float64 pass, never escalated, against the same measurement
+        # with gauss_rule's rule of the same size as the reference
+        monkeypatch.setattr(ex, "MP_ESCALATE_BELOW", 0.0)
+        got, backend = ex.measure_quad_error(lam, n, family, fn)
+        assert backend == "float64"
+        x, w = gauss_rule(lam, max(4 * (n + 1), 128))
+        ns = gauss_nodes(lam, n) if family == GAUSS else gauss_lobatto_nodes(lam, n)
+        rule_sum = float(np.dot(ns.quad_weights, fn.u(ns.nodes)))
+        want = abs(float(np.dot(w, fn.u(x))) - rule_sum)
+        assert abs(got - want) <= 1e-6 * want + 2.2e-16 * n * n
 
 
 class TestCertify:

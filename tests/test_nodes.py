@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
+import mp_oracle
 from gegenspec.nodes import (
     GAUSS,
     GAUSS_LOBATTO,
     _jacobi_offdiag,
     _lagrange_matrix,
     barycentric_weights,
+    closed_form_gauss_rule,
     gauss_lobatto_nodes,
     gauss_nodes,
     gauss_rule,
@@ -106,6 +108,60 @@ class TestGaussNodes:
                 assert abs(got) < 1e-13 * total_mass(lam)
             else:
                 assert got == pytest.approx(ref, rel=1e-11)
+
+
+# lam near -1/2 (end nodes within (lam + 1/2)/n^2 of +-1), near 0 (where the
+# Jacobi matrix's j = 1 entry cancels) and large (where the eigenvector
+# weights of the end nodes lose every digit at n = 1000)
+ORACLE_LAMS = (-0.4999, -0.49, -0.3, 1e-8, 0.5, 1.5, 3.2, 7.7, 20.0)
+
+
+def assert_weights_match_oracle(lam, n):
+    x, w = closed_form_gauss_rule(lam, n)
+    for j in sorted({0, 1, 2, 5, n // 4, n // 2} & set(range(n + 1))):
+        _, want = mp_oracle.gauss_node_weight_mp(lam, n, x[j])
+        assert abs(w[j] / float(want) - 1.0) <= 1e-10, (n, j)
+
+
+class TestClosedFormGaussRule:
+    @pytest.mark.parametrize("lam", ORACLE_LAMS)
+    def test_weights_match_50_digit_oracle(self, lam):
+        for n in (1, 2, 9, 64, 300):
+            assert_weights_match_oracle(lam, n)
+
+    @pytest.mark.parametrize("lam", [0.5, 7.7])
+    def test_weights_carried_to_the_node(self, lam):
+        # at n = 1000 the factor that carries each weight from its start to
+        # the Newton-corrected node moves the end weights by 1.3e-10 (lam 0.5)
+        # and 2.6e-10 (lam 7.7); below n ~ 1000 it stays under 1e-10
+        assert_weights_match_oracle(lam, 1000)
+
+    @pytest.mark.parametrize("lam", ORACLE_LAMS)
+    def test_nodes_symmetry_and_mass(self, lam):
+        mass = total_mass(lam)
+        for n in (*range(40), 127, 300, 1000):
+            x, w = closed_form_gauss_rule(lam, n)
+            assert np.max(np.abs(x - gauss_rule(lam, n)[0])) <= 2.3e-16, n
+            assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1]), n
+            assert abs(np.sum(w) / mass - 1.0) <= 1e-13, n
+
+    @pytest.mark.parametrize("lam", LAM_GRID)
+    def test_small_rules_in_closed_form(self, lam):
+        mass = total_mass(lam)
+        assert [a.tolist() for a in closed_form_gauss_rule(lam, 0)] == [[0.0], [mass]]
+        x, w = closed_form_gauss_rule(lam, 1)
+        r = 1.0 / math.sqrt(2.0 * (1.0 + lam))
+        np.testing.assert_allclose(x, [-r, r], rtol=1e-15)
+        np.testing.assert_allclose(w, [mass / 2, mass / 2], rtol=1e-15)
+        x, w = closed_form_gauss_rule(lam, 2)
+        r = math.sqrt(1.5 / (2.0 + lam))
+        np.testing.assert_allclose(x, [-r, 0.0, r], rtol=1e-15)
+        end = mass * (2.0 + lam) / (6.0 * (1.0 + lam))
+        np.testing.assert_allclose(w, [end, mass - 2.0 * end, end], rtol=1e-14)
+
+    def test_negative_n_rejected(self):
+        with pytest.raises(ValueError):
+            closed_form_gauss_rule(0.5, -1)
 
 
 class TestLobattoNodes:
