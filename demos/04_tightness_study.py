@@ -4,12 +4,12 @@ E_n sits between 0.1/n and n^-0.9 across three decades of n.
 Run:  python demos/04_tightness_study.py
 """
 
-from gegenspec import e_n_metric
+from gegenspec import e_n_metrics
 
 print("normalized boundary discrepancy E_n, lambda = 0.5, rho = 1.4")
 print("     n      E_n           n^-0.9        1/n")
-for n in (1000, 2000, 4000, 8000):
-    e = e_n_metric(0.5, n, 1.4)
+ns = (1000, 2000, 4000, 8000)
+for n, e in zip(ns, e_n_metrics(0.5, ns, 1.4)):
     print(f"  {n:5d}   {e:.6e}   {n ** -0.9:.6e}   {1 / n:.6e}")
 
 print("""

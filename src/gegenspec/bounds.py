@@ -23,12 +23,7 @@ __all__ = [
     "ellipse_points",
     "remainder_exact",
     "remainder_bound",
-    "e_n_metric",
     "e_n_metrics",
-    "interp_bound_gauss",
-    "diff_bound_gauss",
-    "interp_bound_lobatto",
-    "diff_bound_lobatto",
     "quad_bound",
     "Theorem",
     "THEOREMS",
@@ -250,11 +245,6 @@ def e_n_metrics(param, ns, rho: float) -> list[float]:
             for n in ns]
 
 
-def e_n_metric(param, n: int, rho: float) -> float:
-    """E_n of e_n_metrics at the one degree n."""
-    return e_n_metrics(param, (n,), rho)[0]
-
-
 # The interp/diff bounds below are elementwise in rho and M_rho.  Each is
 # written once as a factor function (lam, n, rho, m_rho) -> (theorem id,
 # flags, constant, rate) on numpy arrays, so the same expression gives the
@@ -302,6 +292,9 @@ def _breakdown(factors, param, n: int, rho: float, m_rho: float) -> BoundBreakdo
 
 
 def _gauss_interp(lam, n, rho, m_rho):
+    """Max-norm interpolation error on the Gauss nodes: the lam > 0 branch
+    decays like n^lam / rho^n; the -1/2 < lam < 0 branch has no algebraic
+    factor and uses the calibrated sup-norm constant."""
     common = m_rho * np.sqrt(rho * rho + rho ** -2.0) / (rho - 1.0) ** 2
     if lam > 0:
         const = (
@@ -320,6 +313,7 @@ def _gauss_interp(lam, n, rho, m_rho):
 
 
 def _gauss_diff(lam, n, rho, m_rho):
+    """Max node-differencing error on the Gauss nodes: rate n^(lam+2)/rho^n."""
     branch = (1.0 + rho ** -2.0) ** lam if lam > 0 else (1.0 - rho ** -2.0) ** lam
     const = (
         2.0
@@ -342,6 +336,7 @@ def _lobatto_common(lam, rho, m_rho):
 
 
 def _lobatto_interp(lam, n, rho, m_rho):
+    """Max-norm interpolation error on the Lobatto nodes: rate n^(lam+1)/rho^n."""
     const = (
         4.0
         * _lobatto_common(lam, rho, m_rho)
@@ -351,6 +346,7 @@ def _lobatto_interp(lam, n, rho, m_rho):
 
 
 def _lobatto_diff(lam, n, rho, m_rho):
+    """Max node-differencing error on the Lobatto nodes: rate n^(lam+3)/rho^n."""
     const = (
         8.0
         * _lobatto_common(lam, rho, m_rho)
@@ -359,75 +355,53 @@ def _lobatto_diff(lam, n, rho, m_rho):
     return "T43b", [FLAG_C_ONE], const, _rate(lam + 3.0, n, rho)
 
 
-def interp_bound_gauss(param, n: int, rho: float, m_rho: float) -> BoundBreakdown:
-    """Max-norm interpolation error bound on the Gauss nodes.
-
-    lam > 0 branch decays like n^lam / rho^n; the -1/2 < lam < 0 branch has
-    no algebraic factor and uses the calibrated sup-norm constant.
-    """
-    return _breakdown(_gauss_interp, param, n, rho, m_rho)
-
-
-def diff_bound_gauss(param, n: int, rho: float, m_rho: float) -> BoundBreakdown:
-    """Max node-differencing error bound on the Gauss nodes: Lambda n^(lam+2)/rho^n."""
-    return _breakdown(_gauss_diff, param, n, rho, m_rho)
-
-
-def interp_bound_lobatto(param, n: int, rho: float, m_rho: float) -> BoundBreakdown:
-    """Max-norm interpolation error bound on the Lobatto nodes: rate n^(lam+1)/rho^n."""
-    return _breakdown(_lobatto_interp, param, n, rho, m_rho)
-
-
-def diff_bound_lobatto(param, n: int, rho: float, m_rho: float) -> BoundBreakdown:
-    """Max node-differencing error bound on the Lobatto nodes: rate n^(lam+3)/rho^n."""
-    return _breakdown(_lobatto_diff, param, n, rho, m_rho)
-
-
-def _any_lambda(lam: float) -> bool:
-    return True
-
-
 @dataclass(frozen=True)
 class Theorem:
     """One theorem ID of the registry.
 
-    bound is the single-rho function returning a BoundBreakdown; factors is
-    its elementwise (lam, n, rho, m_rho) form used for rho scans, None for
-    the remainder bounds, which take no M_rho.  lam_ok(lam) is the lambda
-    domain and lam_text the error naming it; family is the node family of
-    the operator bounds (None for the remainder).
+    factors is the elementwise (lam, n, rho, m_rho) form of an operator
+    bound, used for rho scans, and None for the remainder bounds, which take
+    no M_rho.  lam_ok(lam) is the lambda domain and lam_text the error naming
+    it; family is the node family of the operator bounds (None for the
+    remainder).
     """
 
-    bound: Callable
     factors: Callable | None
     kind: str
     family: str | None
-    lam_ok: Callable = _any_lambda
+    lam_ok: Callable = lambda lam: True
     lam_text: str = ""
+
+    def bound(self, param, n: int, rho: float, arg) -> BoundBreakdown:
+        """The bound at one rho as a BoundBreakdown; arg is M_rho for the
+        operator bounds and the split index m for the remainder bounds."""
+        if self.factors is None:
+            return remainder_bound(param, n, rho, arg)
+        return _breakdown(self.factors, param, n, rho, arg)
 
 
 THEOREMS = {
     "T31i": Theorem(
-        remainder_bound, None, "remainder", None, lambda lam: lam > 1.0,
+        None, "remainder", None, lambda lam: lam > 1.0,
         "the T31i branch requires lambda > 1 (its admissibility condition "
         f"{_M_CONDITION_TEXT} only arises there)",
     ),
     "T31ii": Theorem(
-        remainder_bound, None, "remainder", None, lambda lam: -0.5 < lam < 1.0,
+        None, "remainder", None, lambda lam: -0.5 < lam < 1.0,
         "the T31ii branch requires -1/2 < lambda < 1",
     ),
-    "T41": Theorem(interp_bound_gauss, _gauss_interp, "interp", GAUSS),
+    "T41": Theorem(_gauss_interp, "interp", GAUSS),
     "T41i": Theorem(
-        interp_bound_gauss, _gauss_interp, "interp", GAUSS, lambda lam: lam > 0.0,
+        _gauss_interp, "interp", GAUSS, lambda lam: lam > 0.0,
         "T41i requires lambda > 0",
     ),
     "T41ii": Theorem(
-        interp_bound_gauss, _gauss_interp, "interp", GAUSS, lambda lam: lam < 0.0,
+        _gauss_interp, "interp", GAUSS, lambda lam: lam < 0.0,
         "T41ii requires -1/2 < lambda < 0",
     ),
-    "T42": Theorem(diff_bound_gauss, _gauss_diff, "diff", GAUSS),
-    "T43a": Theorem(interp_bound_lobatto, _lobatto_interp, "interp", GAUSS_LOBATTO),
-    "T43b": Theorem(diff_bound_lobatto, _lobatto_diff, "diff", GAUSS_LOBATTO),
+    "T42": Theorem(_gauss_diff, "diff", GAUSS),
+    "T43a": Theorem(_lobatto_interp, "interp", GAUSS_LOBATTO),
+    "T43b": Theorem(_lobatto_diff, "diff", GAUSS_LOBATTO),
 }
 
 

@@ -105,7 +105,7 @@ def _cmd_nodes(args) -> int:
     blocks = run_nodes(_load_config(args))
     ext = args.format
     if args.out and len(blocks) > 1:
-        stem = args.out[:-4] if args.out.endswith(f".{ext}") else args.out
+        stem = args.out.removesuffix(f".{ext}")
         for meta, rows in blocks:
             path = f"{stem}_{meta['family']}_lam{meta['lambda']:g}_n{meta['n']}.{ext}"
             _emit(format_rows(NODES_HEADER, rows, ext), path)

@@ -515,9 +515,7 @@ def run_bounds(param, n, rho, m_rho, theorem_id, m="auto"):
         theorem = lookup_theorem(theorem_id, p.lam)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if theorem.kind == "remainder":
-        return theorem.bound(p, n, rho, m).as_dict()
-    return theorem.bound(p, n, rho, m_rho).as_dict()
+    return theorem.bound(p, n, rho, m if theorem.factors is None else m_rho).as_dict()
 
 
 def run_expansion_decay(param, function_id, n_list, pole_imag: float = 0.8):

@@ -247,11 +247,6 @@ def _interpolant_raw(triples, x):
     return mpf_div(num, den, prec, rnd)
 
 
-def _interpolant_mp(xs, b, uv, x):
-    """Second-form barycentric interpolant at x; uv[j] exactly at node j."""
-    return mp.make_mpf(_interpolant_raw(_raw_triples(xs, b, uv), mp.convert(x)._mpf_))
-
-
 def quad_error_mp(param, n: int, family: str, u) -> float:
     """|integral of (u - interpolant) times the weight| over [-1, 1], by
     mpmath quadrature at DPS digits.

@@ -11,10 +11,10 @@ x_{n-j} = -x_j and w_{n-j} = w_j exactly.
   where the first components are tiny: at the end nodes for large lam
   (3.5e-3 at lam = 7.7, n = 1000; nothing left at lam = 20), and everywhere
   at tiny |lam|, where the Jacobi matrix's j = 1 entry cancels (7e-9 at
-  lam = 1e-8, n = 2, and 4.5e-6 at n = 1000).  The Gauss node sets, the Lobatto interior and the internal
-  rule of the interpolatory weights use this route, and gauss_nodes_mp
-  starts from its nodes; stored benchmark references pin its bits, so it
-  stays until those are rebuilt.
+  lam = 1e-8, n = 2, and 4.5e-6 at n = 1000).  The Gauss node sets, the
+  Lobatto interior and the internal rule of the interpolatory weights use
+  this route, and gauss_nodes_mp starts from its nodes; stored benchmark
+  references pin its bits, so it stays until those are rebuilt.
 * closed_form_gauss_rule: eigenvalues only, one Newton step, and the
   weights in closed form from C_{n+1}' (see its docstring); about 5e-11
   relative or better against a 50-digit oracle for -0.4999 <= lam <= 20
@@ -178,8 +178,6 @@ def gauss_lobatto_nodes(param, n: int) -> NodeSet:
 def quad_weights_interpolatory(nodes, param) -> np.ndarray:
     """Interpolatory weights: integral of each Lagrange basis times the weight."""
     x = np.asarray(nodes, dtype=float)
-    if len(np.unique(x)) != len(x):
-        raise ValueError("nodes must be distinct")
     return _interpolatory(x, barycentric_weights(x), as_param(param))
 
 

@@ -107,13 +107,11 @@ def expansion_coeffs(param, u, n: int) -> np.ndarray:
     return (table @ weighted) / norms
 
 
-def truncated_expansion_error(param, u, n: int, grid_size: int = GRID_SIZE) -> float:
-    """Max over a uniform grid of |truncated expansion of u - u|."""
+def truncated_expansion_error(param, u, n: int) -> float:
+    """Max over the uniform GRID_SIZE grid of |truncated expansion of u - u|."""
     p = as_param(param)
-    if grid_size < 2:
-        raise ValueError("grid_size must be >= 2")
     coeffs = expansion_coeffs(p, u, n)
-    xs = np.linspace(-1.0, 1.0, grid_size)
+    xs = np.linspace(-1.0, 1.0, GRID_SIZE)
     table = recurrence_table(p, n, xs)
     return float(np.max(np.abs(coeffs @ table - u(xs))))
 

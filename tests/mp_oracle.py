@@ -25,7 +25,6 @@ from gegenspec.highprec import (
     DPS,
     _grid_mp,
     _h_norm_mp,
-    _interpolant_mp,
     _interpolation_data,
 )
 from gegenspec.special import as_param
@@ -172,7 +171,7 @@ def interp_error_mp(param, n: int, family: str, u, dps: int = DPS) -> float:
         xs, b, uv = _interpolation_data(param, n, family, u)
         worst = mp.mpf(0)
         for xg in _grid_mp():
-            worst = max(worst, abs(_interpolant_mp(xs, b, uv, xg) - u(xg)))
+            worst = max(worst, abs(interpolant_mp_plain(xs, b, uv, xg) - u(xg)))
         return float(worst)
 
 
@@ -180,7 +179,7 @@ def interp_remainder_mp(param, n: int, family: str, u, points, dps: int = DPS) -
     """u(x) - interpolant(x) at each float x in points, at dps digits."""
     with mp.workdps(dps):
         xs, b, uv = _interpolation_data(param, n, family, u)
-        return [float(u(x) - _interpolant_mp(xs, b, uv, x))
+        return [float(u(x) - interpolant_mp_plain(xs, b, uv, x))
                 for x in map(mp.mpf, points)]
 
 

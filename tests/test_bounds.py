@@ -8,12 +8,8 @@ from gegenspec.bounds import (
     THEOREMS,
     BoundBreakdown,
     PoleOnContourError,
-    diff_bound_gauss,
-    diff_bound_lobatto,
-    e_n_metric,
+    e_n_metrics,
     ellipse_points,
-    interp_bound_gauss,
-    interp_bound_lobatto,
     minimize_bound_on_grid,
     quad_bound,
     remainder_bound,
@@ -240,16 +236,16 @@ class TestTriangleConsistency:
 class TestEnMetric:
     def test_lam_one_degenerate(self):
         with pytest.raises(ValueError):
-            e_n_metric(1.0, 100, 1.4)
+            e_n_metrics(1.0, (100,), 1.4)
 
     def test_figure_window_sample(self):
-        for n in (1000, 3162, 10000):
-            e = e_n_metric(0.5, n, 1.4)
+        ns = (1000, 3162, 10000)
+        for n, e in zip(ns, e_n_metrics(0.5, ns, 1.4)):
             assert 0.1 / n <= e <= n ** -0.9
 
     def test_bounded_by_remainder_over_normalization(self):
         lam, rho, n = 1.5, 2.0, 500
-        e = e_n_metric(lam, n, rho)
+        [e] = e_n_metrics(lam, (n,), rho)
         a_norm = abs(1.0 - lam) * abs((1.0 - rho ** -2.0) ** (-lam) - 1.0)
         assert e <= remainder_exact(lam, n, rho) / a_norm * (1 + 1e-12)
 
@@ -257,8 +253,8 @@ class TestEnMetric:
 class TestTheoremBounds:
     def test_gauss_interp_ratio_form(self):
         lam, rho = 0.5, 2.2
-        b40 = interp_bound_gauss(lam, 40, rho, 1.0)
-        b41 = interp_bound_gauss(lam, 41, rho, 1.0)
+        b40 = THEOREMS["T41"].bound(lam, 40, rho, 1.0)
+        b41 = THEOREMS["T41"].bound(lam, 41, rho, 1.0)
         assert b40.total > 0
         assert b41.total / b40.total == pytest.approx(
             (41.0 / 40.0) ** lam / rho, rel=1e-12
@@ -266,14 +262,14 @@ class TestTheoremBounds:
         assert b40.flags == ["c set to 1"]
 
     def test_gauss_interp_negative_lam_rate(self):
-        bd1 = interp_bound_gauss(-0.3, 60, 1.8, 1.0)
-        bd2 = interp_bound_gauss(-0.3, 61, 1.8, 1.0)
+        bd1 = THEOREMS["T41"].bound(-0.3, 60, 1.8, 1.0)
+        bd2 = THEOREMS["T41"].bound(-0.3, 61, 1.8, 1.0)
         assert "uses calibrated D_lambda" in bd1.flags
         assert bd2.total / bd1.total == pytest.approx(1.0 / 1.8, rel=1e-12)
 
     def test_gauss_diff_value_and_ratio(self):
         lam, rho, n = 0.5, 2.0, 30
-        bd = diff_bound_gauss(lam, n, rho, 1.0)
+        bd = THEOREMS["T42"].bound(lam, n, rho, 1.0)
         lam_const = (
             2.0
             * math.gamma(lam + 1.0)
@@ -283,14 +279,14 @@ class TestTheoremBounds:
             / (rho - 1.0) ** 2
         )
         assert bd.total == pytest.approx(lam_const * 30 ** 2.5 / 2.0 ** 30, rel=1e-12)
-        bd2 = diff_bound_gauss(lam, n + 2, rho, 1.0)
+        bd2 = THEOREMS["T42"].bound(lam, n + 2, rho, 1.0)
         assert bd2.total / bd.total == pytest.approx(
             rho ** -2.0 * (1.0 + 2.0 / n) ** (lam + 2.0), rel=1e-12
         )
 
     def test_lobatto_interp_assembly(self):
         lam, n, rho = 0.5, 20, 2.0
-        bd = interp_bound_lobatto(lam, n, rho, 1.0)
+        bd = THEOREMS["T43a"].bound(lam, n, rho, 1.0)
         expected = (
             4.0
             * math.sqrt(rho ** 2 + rho ** -2)
@@ -305,29 +301,26 @@ class TestTheoremBounds:
 
     def test_lobatto_vs_gauss_rate_grows_like_n(self):
         lam, rho = 0.5, 2.0
-        r20 = interp_bound_lobatto(lam, 20, rho, 1.0).total / interp_bound_gauss(
-            lam, 20, rho, 1.0
-        ).total
-        r40 = interp_bound_lobatto(lam, 40, rho, 1.0).total / interp_bound_gauss(
-            lam, 40, rho, 1.0
-        ).total
+        lobatto, gauss = THEOREMS["T43a"].bound, THEOREMS["T41"].bound
+        r20 = lobatto(lam, 20, rho, 1.0).total / gauss(lam, 20, rho, 1.0).total
+        r40 = lobatto(lam, 40, rho, 1.0).total / gauss(lam, 40, rho, 1.0).total
         assert r40 / r20 == pytest.approx(2.0, rel=1e-12)
 
     def test_lobatto_diff_exponent(self):
         lam, rho, n = 1.5, 1.9, 24
-        bd = diff_bound_lobatto(lam, n, rho, 1.0)
-        bd2 = diff_bound_lobatto(lam, 2 * n, rho, 1.0)
+        bd = THEOREMS["T43b"].bound(lam, n, rho, 1.0)
+        bd2 = THEOREMS["T43b"].bound(lam, 2 * n, rho, 1.0)
         assert bd2.total / bd.total == pytest.approx(
             2.0 ** (lam + 3.0) * rho ** (-n), rel=1e-11
         )
 
     def test_product_invariant(self):
         for bd in (
-            interp_bound_gauss(0.5, 12, 1.7, 2.0),
-            interp_bound_gauss(-0.3, 12, 1.7, 2.0),
-            diff_bound_gauss(1.5, 12, 1.7, 2.0),
-            interp_bound_lobatto(1.5, 12, 1.7, 2.0),
-            diff_bound_lobatto(0.5, 12, 1.7, 2.0),
+            THEOREMS["T41"].bound(0.5, 12, 1.7, 2.0),
+            THEOREMS["T41"].bound(-0.3, 12, 1.7, 2.0),
+            THEOREMS["T42"].bound(1.5, 12, 1.7, 2.0),
+            THEOREMS["T43a"].bound(1.5, 12, 1.7, 2.0),
+            THEOREMS["T43b"].bound(0.5, 12, 1.7, 2.0),
         ):
             assert bd.total == pytest.approx(
                 bd.constant_factor * bd.rate_factor, rel=1e-12
@@ -336,19 +329,19 @@ class TestTheoremBounds:
 
 class TestQuadBound:
     def test_legendre_factor_two(self):
-        bd = interp_bound_gauss(0.5, 10, 2.0, 1.0)
+        bd = THEOREMS["T41"].bound(0.5, 10, 2.0, 1.0)
         qb = quad_bound(0.5, bd)
         assert qb.total / bd.total == pytest.approx(2.0, rel=1e-13)
         assert qb.theorem_id == "Quad"
 
     def test_lam_three_halves_factor(self):
-        bd = interp_bound_lobatto(1.5, 10, 2.0, 1.0)
+        bd = THEOREMS["T43a"].bound(1.5, 10, 2.0, 1.0)
         qb = quad_bound(1.5, bd)
         assert qb.total / bd.total == pytest.approx(4.0 / 3.0, rel=1e-13)
 
     def test_rejects_non_interp_input(self):
         with pytest.raises(ValueError):
-            quad_bound(0.5, diff_bound_gauss(0.5, 10, 2.0, 1.0))
+            quad_bound(0.5, THEOREMS["T42"].bound(0.5, 10, 2.0, 1.0))
 
 
 def scan_and_minimize(param, n, u, rho_min, rho_max, count, which, samples):
@@ -479,6 +472,41 @@ class TestGridMinimizationOracle:
             minimize_bound_on_grid(0.5, 10, "T42", rhos, np.full(10, np.nan), True)
 
 
+OPERATOR_CASES = [
+    (which, lam)
+    for which, theorem in THEOREMS.items() if theorem.factors is not None
+    for lam in (-0.3, 0.5, 1.5, 3.2) if theorem.lam_ok(lam)
+]
+
+
+@pytest.fixture(scope="module")
+def runge1_grid():
+    return _runge1_grid()
+
+
+class TestRegistryBound:
+    @pytest.mark.parametrize("n", (1, 8, 64))
+    @pytest.mark.parametrize("which,lam", OPERATOR_CASES)
+    def test_operator_bound_is_factors_at_one_rho(self, runge1_grid, which, lam, n):
+        # the single-rho breakdown and the grid scan agree bit for bit
+        theorem = THEOREMS[which]
+        rhos, sups, _ = runge1_grid
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, _, const, rate = theorem.factors(lam, n, rhos, sups)
+        for i, (rho, m_rho) in enumerate(zip(rhos, sups)):
+            bd = theorem.bound(lam, n, float(rho), float(m_rho))
+            assert bd.constant_factor == const[i]
+            assert bd.rate_factor == rate[i]
+            assert bd.total == const[i] * rate[i]
+
+    @pytest.mark.parametrize("m", ("auto", 3))
+    @pytest.mark.parametrize("which,lam", [("T31i", 1.5), ("T31i", 3.2),
+                                           ("T31ii", -0.3), ("T31ii", 0.5)])
+    def test_remainder_bound_is_remainder_bound(self, which, lam, m):
+        got = THEOREMS[which].bound(lam, 10, 1.5, m)
+        assert got.as_dict() == remainder_bound(lam, 10, 1.5, m).as_dict()
+
+
 class TestScanSups:
     @pytest.mark.parametrize("samples", (2048, 100, 3 * 2 ** 14))
     def test_matches_per_rho_sup(self, samples):
@@ -546,7 +574,7 @@ class TestScanSups:
 
 class TestBreakdownSerialization:
     def test_round_trip_dict(self):
-        bd = interp_bound_gauss(0.5, 8, 1.5, 1.0)
+        bd = THEOREMS["T41"].bound(0.5, 8, 1.5, 1.0)
         d = bd.as_dict()
         assert set(d) == {
             "theorem_id", "constant_factor", "rate_factor", "total",

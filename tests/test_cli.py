@@ -61,6 +61,27 @@ class TestNodesCommand:
         assert (tmp_path / "nodes_gauss_lam0.5_n1.csv").exists()
         assert (tmp_path / "nodes_gauss_lam0.5_n2.csv").exists()
 
+    @pytest.mark.parametrize("ext", ("csv", "json"))
+    def test_multi_table_file_names(self, ext, tmp_path):
+        # the whole ".<ext>" suffix is stripped before the table tag goes on
+        code = run_cli(["nodes", "--lambda", "0.5", "--n", "2", "--n", "3",
+                        "--family", "gauss", "--format", ext,
+                        "--out", str(tmp_path / f"t.{ext}")])
+        assert code == 0
+        names = [f"t_gauss_lam0.5_n{n}.{ext}" for n in (2, 3)]
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
+        for n, name in zip((2, 3), names):
+            text = (tmp_path / name).read_text()
+            if ext == "json":
+                rows = json.loads(text)
+            else:
+                header, *lines = text.strip().splitlines()
+                assert header == "j,node,quad_weight,bary_weight"
+                rows = [dict(zip(header.split(","), map(float, line.split(","))))
+                        for line in lines]
+            assert len(rows) == n + 1
+            assert sum(r["quad_weight"] for r in rows) == pytest.approx(2.0, rel=1e-13)
+
     def test_rerun_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (out1, out2):

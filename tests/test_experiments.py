@@ -7,7 +7,7 @@ import pytest
 from gegenspec import experiments as ex
 from gegenspec import highprec
 from gegenspec.bounds import (
-    e_n_metric,
+    e_n_metrics,
     ellipse_points,
     minimize_bound_on_grid,
     quad_bound,
@@ -282,7 +282,7 @@ class TestRunners:
         # run_fig2 builds the (lam, rho) work once for all degrees; each
         # value must be the single-degree metric's, bit for bit
         for lam, rho, n, e, _, _ in ex.run_fig2(ex.ExperimentConfig()):
-            assert e == e_n_metric(lam, n, rho)
+            assert [e] == e_n_metrics(lam, (n,), rho)
 
     def test_fig2_rows_within_envelopes(self):
         cfg = ex.ExperimentConfig()

@@ -166,7 +166,3 @@ class TestTruncatedExpansionError:
         e40 = truncated_expansion_error(0.5, np.abs, 40)
         # two octaves gain far less than any geometric rate would give
         assert e40 > 0.05 * e20
-
-    def test_grid_size_validated(self):
-        with pytest.raises(ValueError):
-            truncated_expansion_error(0.5, RUNGE, 5, grid_size=1)

@@ -22,6 +22,11 @@ REMOVED = (
     "eval_w_series",
     "interp_error_mp",     # the mpmath oracle lives in tests/mp_oracle.py
     "diff_error_mp",
+    "e_n_metric",          # e_n_metrics with a one-degree tuple
+    "interp_bound_gauss",  # the operator bounds are THEOREMS[id].bound
+    "diff_bound_gauss",
+    "interp_bound_lobatto",
+    "diff_bound_lobatto",
 )
 
 
