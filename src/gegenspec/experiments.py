@@ -6,7 +6,8 @@ like n^2 * eps, so beyond n ~ 45 a double measurement would sit orders of
 magnitude above the true error while the certified bound keeps shrinking.
 Interpolation and differentiation errors escalate to Hermite's formula in
 double precision (operators.hermite_*_error), which has no such floor;
-quadrature and expansion errors escalate to 35-digit mpmath (highprec).
+quadrature errors escalate to 35-digit mpmath (highprec).  The expansion
+error needs no escalation: operators.exact_expansion_error has no floor.
 """
 
 import cmath
@@ -40,10 +41,10 @@ from .nodes import (
 from .operators import (
     GRID_SIZE,
     differentiate_at_nodes,
+    exact_expansion_error,
     hermite_diff_error,
     hermite_interp_error,
     interpolate,
-    truncated_expansion_error,
 )
 from .special import GegenbauerParam, as_param
 
@@ -153,6 +154,9 @@ def _exp(x):
 
 # the function id of make_rational, whose pole height comes from the config
 CUSTOM_RATIONAL = "custom-rational"
+# the smallest pole height s: there 1/(x^2 + s^2) peaks at 1e200 and its
+# derivative near 6.5e299; lower, they and the second-kind ratios overflow
+MIN_POLE_IMAG = 1e-100
 
 
 def make_rational(pole_imag: float) -> TestFunction:
@@ -180,9 +184,9 @@ def resolve_function(function_id: str, pole_imag: float = 0.8) -> TestFunction:
     if function_id in TEST_FUNCTIONS:
         return TEST_FUNCTIONS[function_id]
     if function_id == CUSTOM_RATIONAL:
-        if not (math.isfinite(pole_imag) and pole_imag > 0):
-            raise ConfigError(f"{CUSTOM_RATIONAL} needs a finite positive pole "
-                              f"height, got {pole_imag}")
+        if not (math.isfinite(pole_imag) and pole_imag >= MIN_POLE_IMAG):
+            raise ConfigError(f"{CUSTOM_RATIONAL} needs a finite pole height of at "
+                              f"least {MIN_POLE_IMAG:g}, got {pole_imag}")
         return make_rational(pole_imag)
     raise ConfigError(f"unknown function id {function_id!r}")
 
@@ -342,10 +346,11 @@ def measure_quad_error(param, n, family, fn: TestFunction):
     return _escalate(err, lambda: highprec.quad_error_mp(p, n, family, fn.u), "mpmath")
 
 
-def measure_expansion_error(param, fn: TestFunction, n):
-    """Truncated-expansion max-grid error; escalates to mpmath."""
-    err = truncated_expansion_error(param, fn.u, n)
-    return _escalate(err, lambda: highprec.expansion_error_mp(param, fn.u, n), "mpmath")
+def measure_expansion_error(param, fn: TestFunction, n) -> float:
+    """Truncated-expansion error, max over the uniform grid, from the
+    second-kind-function kernel."""
+    xs = np.linspace(-1.0, 1.0, GRID_SIZE)
+    return float(np.max(np.abs(exact_expansion_error(param, fn.u, fn.poles, n, xs))))
 
 
 def scan_function(fn: TestFunction):
@@ -522,10 +527,7 @@ def run_expansion_decay(param, function_id, n_list, pole_imag: float = 0.8):
     """Decay study rows (n, truncated-expansion error, fitted geometric ratio)."""
     fn = resolve_function(function_id, pole_imag)
     p = as_param(param)
-    errs = []
-    for n in n_list:
-        err, _ = measure_expansion_error(p, fn, n)
-        errs.append(err)
+    errs = [measure_expansion_error(p, fn, n) for n in n_list]
     if len(n_list) >= 2 and all(e > 0 for e in errs):
         ratio = math.exp(fit_log_slope(n_list, errs))
     else:

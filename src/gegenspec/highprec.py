@@ -1,29 +1,29 @@
-"""Arbitrary-precision quadrature and expansion error measurements (mpmath).
+"""Arbitrary-precision quadrature error measurements (mpmath).
 
 Spectral errors decay below the double-precision noise floor long before
 the certified bounds stop shrinking, so honest bound-versus-error
 comparisons at large n need a measurement path whose own rounding floor is
-far lower.  Interpolation and differentiation errors get one in double
-precision from Hermite's formula (operators.hermite_*_error); the quadrature
-and truncated-expansion errors come from here, where everything mirrors
-the double-precision operators with mpmath arithmetic.
+far lower.  Interpolation, differentiation and truncated-expansion errors
+get one in double precision from Cauchy's formula (operators.hermite_*_error,
+operators.exact_expansion_error); the quadrature error comes from here,
+where everything mirrors the double-precision operators with mpmath
+arithmetic.
 
 Node starting values come from the fast double path and are Newton-refined
 until a step leaves the node unchanged, at most 5 steps.  Only the starts
 x0 >= 0 are refined; the rest are their exact negatives (see
-gauss_nodes_mp).  The expansion error likewise takes the C_l at the
-mirrored quadrature nodes and grid points by sign flips.  The recurrence
-coefficients are built once per (lam, degree).
+gauss_nodes_mp).  The recurrence coefficients are built once per
+(lam, degree).
 
 The hot loops (the recurrence sweeps, the barycentric weights and the
-barycentric sum inside mp.quad, the expansion sums) run on mpmath.libmp raw
-values (mpf_add, mpf_mul, ...) at the precision and rounding in force at
-each call, in the operation order of mpf operator code.  Every such
-operation is correctly rounded, so the results are the same mpf bit for
-bit; only the object creation and type dispatch go.  Bit identity matters
-because at large n the quadrature error at DPS digits is rounding noise
-(see quad_error_mp): the value there is reproducible only by the same
-roundings.  The measured function u must map an mpf to an mpf.
+barycentric sum inside mp.quad) run on mpmath.libmp raw values (mpf_add,
+mpf_mul, ...) at the precision and rounding in force at each call, in the
+operation order of mpf operator code.  Every such operation is correctly
+rounded, so the results are the same mpf bit for bit; only the object
+creation and type dispatch go.  Bit identity matters because at large n the
+quadrature error at DPS digits is rounding noise (see quad_error_mp): the
+value there is reproducible only by the same roundings.  The measured
+function u must map an mpf to an mpf.
 """
 
 import mpmath as mp
@@ -38,18 +38,15 @@ from mpmath.libmp import (
     mpf_neg,
     mpf_rdiv_int,
     mpf_sub,
-    mpf_sum,
 )
 
 from . import nodes as _nodes
-from .operators import GRID_SIZE
 from .special import as_param
 
 __all__ = [
     "gauss_nodes_mp",
     "lobatto_nodes_mp",
     "quad_error_mp",
-    "expansion_error_mp",
 ]
 
 # working precision, in decimal digits, of every function here
@@ -78,29 +75,9 @@ def _recurrence(lam, n):
     ]
 
 
-def _geg_values(rec, n, x, prec, rnd):
-    """Raw [C_0(x), ..., C_n(x)] at a raw point; rec = _recurrence(lam, N), N >= n."""
-    two_lam, steps = rec
-    vals = [fone]
-    if n >= 1:
-        c_prev, c = fone, mpf_mul(two_lam, x, prec, rnd)
-        vals.append(c)
-        for a, b, m in steps[: n - 1]:
-            c_prev, c = c, mpf_div(
-                mpf_sub(
-                    mpf_mul(mpf_mul(a, x, prec, rnd), c, prec, rnd),
-                    mpf_mul(b, c_prev, prec, rnd),
-                    prec, rnd,
-                ),
-                m, prec, rnd,
-            )
-            vals.append(c)
-    return vals
-
-
 def _geg_last(rec, x, prec, rnd):
-    """Raw C_N(x) for rec = _recurrence(lam, N), N >= 1: _geg_values' last
-    entry, keeping only the two newest values."""
+    """Raw C_N(x) for rec = _recurrence(lam, N), N >= 1, keeping only the two
+    newest values."""
     two_lam, steps = rec
     c_prev, c = fone, mpf_mul(two_lam, x, prec, rnd)
     for a, b, m in steps:
@@ -113,13 +90,6 @@ def _geg_last(rec, x, prec, rnd):
             m, prec, rnd,
         )
     return c
-
-
-def _flip_odd(vals):
-    """Raw values indexed by degree l with the odd-l ones negated: from
-    C_l(x) (or c_l C_l(x)) at x, the same at -x, since C_l(-x) = (-1)^l C_l(x)
-    operation by operation."""
-    return [mpf_neg(v) if l % 2 else v for l, v in enumerate(vals)]
 
 
 def _dgeg(rec, drec, n, x, prec, rnd):
@@ -148,23 +118,6 @@ def _newton(rec, drec, n, x, prec, rnd):
             break
         x = step
     return x
-
-
-def _h_norm_mp(lam, n):
-    """Squared weighted norm h_n of the degree-n polynomial (see special.h_norm)."""
-    return (
-        2 ** (1 - 2 * lam)
-        * mp.pi
-        * mp.gamma(n + 2 * lam)
-        / (mp.gamma(lam) ** 2 * mp.factorial(n) * (n + lam))
-    )
-
-
-def _grid_mp():
-    """The GRID_SIZE-point uniform grid on [-1, 1] at working precision;
-    exactly antisymmetric, each point being one rounded division of integers."""
-    m = GRID_SIZE - 1
-    return (mp.mpf(2 * i - m) / m for i in range(GRID_SIZE))
 
 
 def gauss_nodes_mp(param, n: int):
@@ -266,54 +219,3 @@ def quad_error_mp(param, n: int, family: str, u) -> float:
             [-1, 0, 1],
         )
         return float(abs(err))
-
-
-def expansion_error_mp(param, u, n: int) -> float:
-    """Exact max-grid error of the degree-n truncated expansion of u.
-
-    Coefficients use the same 2(n+1)-point quadrature as the double path, so
-    the two agree wherever double precision can still resolve the error.
-    """
-    p = as_param(param)
-    with mp.workdps(DPS):
-        lam = mp.mpf(p.lam)
-        npts = 2 * (n + 1)
-        nn = npts - 1
-        ys = gauss_nodes_mp(p, nn)
-        rec, drec = _recurrence(lam, nn), _recurrence(lam + 1, nn)
-        prec, rnd = _prec_rounding()
-        # the nodes pair up as y, -y (gauss_nodes_mp): C_0 .. C_nn from one
-        # sweep at each upper-half node, and by sign flips at its mirror
-        upper = ys[npts // 2:]
-        tables = [_geg_values(rec, nn, y._mpf_, prec, rnd) for y in upper]
-        tables = [_flip_odd(t) for t in reversed(tables)] + tables
-        # classical weights (k_{N}/k_{N-1}) h_{N-1} / (C_{N-1}(y) C'_N(y)),
-        # even in y since nn is odd and both factors flip sign at -y
-        scale = (2 * (nn + lam) / (nn + 1) * _h_norm_mp(lam, nn))._mpf_
-        ws = []
-        for t, y in zip(tables[npts // 2:], upper):
-            dc = _dgeg(rec, drec, npts, y._mpf_, prec, rnd)
-            ws.append(mpf_div(scale, mpf_mul(t[nn], dc, prec, rnd), prec, rnd))
-        wu = [mpf_mul(w, u(y)._mpf_, prec, rnd) for w, y in zip(ws[::-1] + ws, ys)]
-        # mp.fsum of the terms w u(y) C_l(y) is mpf_sum at the context precision
-        coeffs = []
-        for l in range(n + 1):
-            terms = [mpf_mul(a, t[l], prec, rnd) for a, t in zip(wu, tables)]
-            coeffs.append(mpf_div(mpf_sum(terms, prec, rnd), _h_norm_mp(lam, l)._mpf_,
-                                  prec, rnd))
-        # grid point GRID_SIZE - 1 - i is -grid[i]: the terms c_l C_l there
-        # are those at grid[i] with the odd ones negated (c_0 C_0 = c_0)
-        grid = list(_grid_mp())
-        worst = mp.mpf(0)
-        for i in range(GRID_SIZE // 2, GRID_SIZE):
-            vals = _geg_values(rec, n, grid[i]._mpf_, prec, rnd)
-            terms = [mpf_mul(c, v, prec, rnd) for c, v in zip(coeffs, vals)]
-            points = [(grid[i], terms)]
-            if GRID_SIZE - 1 - i < i:
-                points.append((grid[GRID_SIZE - 1 - i], _flip_odd(terms)))
-            for xg, ts in points:
-                acc = ts[0]
-                for t in ts[1:]:
-                    acc = mpf_add(acc, t, prec, rnd)
-                worst = max(worst, abs(mp.make_mpf(acc) - u(xg)))
-        return float(worst)

@@ -1,9 +1,11 @@
 """Barycentric interpolation, differentiation matrices and truncated expansions.
 
 These are the approximation operators whose maximum-norm errors the bounds
-module certifies.  The exact interpolation and differentiation errors of a
-function with known poles come from Hermite's contour formula
-(hermite_interp_error, hermite_diff_error).
+module certifies.  The exact errors of a function with known poles come from
+Cauchy's formula in double precision: Hermite's contour formula for
+interpolation and differentiation (hermite_interp_error, hermite_diff_error)
+and the second-kind-function kernel for the truncated expansion
+(exact_expansion_error).
 """
 
 import math
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nodes import NodeSet, gauss_nodes
-from .poly import recurrence_table
+from .poly import recurrence_table, second_kind_sweep
 from .special import as_param, h_norm
 
 __all__ = [
@@ -23,6 +25,7 @@ __all__ = [
     "differentiate_at_nodes",
     "expansion_coeffs",
     "truncated_expansion_error",
+    "exact_expansion_error",
     "hermite_interp_error",
     "hermite_diff_error",
 ]
@@ -114,6 +117,72 @@ def truncated_expansion_error(param, u, n: int) -> float:
     xs = np.linspace(-1.0, 1.0, GRID_SIZE)
     table = recurrence_table(p, n, xs)
     return float(np.max(np.abs(coeffs @ table - u(xs))))
+
+
+def exact_expansion_error(param, u, poles, n: int, x) -> np.ndarray:
+    """u(x) - p(x) at the points x in [-1, 1], p the degree-n truncated
+    expansion of u with the coefficients of expansion_coeffs.
+
+    poles as in hermite_interp_error, of order at most 2.  The error is the
+    integral of u(z) G(x, z) dz / (2 pi i) on |z| = R >= n + 1 minus the
+    residues of u G at the poles, c_1 G(x, a) + c_2 dG/dz(x, a), where
+        G(x, z) = 1/(z - x) - sum_j w_j K_n(x, y_j) / (z - y_j)
+                = A (C_{n+1}(x) F_n(z) - C_n(x) F_{n+1}(z)) / (z - x),
+    y_j, w_j the N = 2(n + 1)-point Gauss rule, K_n the Christoffel-Darboux
+    kernel, A = (n + 1) / (2 (n + lam) h_n) and F_l = Q_l - C_l Q_N / C_N
+    the exact tail plus the aliasing of the rule (Gautschi & Varga, SIAM J.
+    Numer. Anal. 20, 1983), from second_kind_sweep started at N.  The
+    integral is the trapezoid rule on 2N + 64 points, summed as in _hermite.
+    F_n = F_0 r_1 ... r_n is rescaled by a power of two after each factor,
+    so it neither underflows nor rounds beyond its factors.
+    """
+    p = as_param(param)
+    xs = np.asarray(x, dtype=float)
+    if not np.all(np.abs(xs) <= 1.0):
+        raise ValueError("x must lie in [-1, 1]")
+    if any(len(cs) > 2 for _, cs in poles):
+        raise ValueError("poles of order above 2 are not supported")
+    c_n, c_next = recurrence_table(p, n + 1, xs)[n:]
+    radius = max(n + 1.0, 2.0 * max([1.0] + [abs(a) for a, _ in poles]))
+    count = 4 * (n + 1) + 64
+    z = radius * np.exp(2j * np.pi * np.arange(count) / count)
+    # at the poles, then on the contour: A F_n = f_n 2^expo, dlog = F_n' / F_n
+    # and rho = F_{n+1} / F_n
+    zs = np.concatenate([[a for a, _ in poles], z]).astype(complex)
+    f_n = np.full_like(zs, (n + 1) / (2.0 * (n + p.lam) * h_norm(p, n)))
+    expo, dlog = np.zeros(zs.shape, dtype=int), np.zeros_like(zs)
+    for l, r, dr in second_kind_sweep(p, 2 * (n + 1), zs):
+        if l == n + 1:
+            rho, drho = r, dr
+        elif l <= n:
+            f_n *= r
+            dlog += dr / r
+            e = np.frexp(np.abs(f_n))[1]
+            f_n *= np.ldexp(1.0, -e)
+            expo += e
+
+    out = np.zeros(len(xs))
+    for i, (a, cs) in enumerate(poles):
+        f_a = f_n[i] * np.ldexp(1.0, expo[i])
+        g_a = f_a * (c_next - c_n * rho[i])          # (a - x) G(x, a)
+        residue = cs[0] * g_a / (a - xs)
+        if len(cs) == 2:
+            dg_a = dlog[i] * g_a - f_a * c_n * drho[i]
+            residue += cs[1] * (dg_a - g_a / (a - xs)) / (a - xs)
+        out -= residue.real
+
+    k = len(poles)
+    vals = u(z)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(f"u is not finite on the contour |z| = {radius:g}")
+    shift = int(np.max(expo[k:]))
+    vals = vals * f_n[k:] * np.ldexp(1.0, expo[k:] - shift)
+    # moments of z^-j, j < terms: the series in x / z reaches 2^-64
+    terms = math.ceil(64.0 * math.log(2.0) / math.log(radius))
+    powers = z[None, :] ** -np.arange(terms)[:, None]
+    m_n, m_next = powers @ vals, powers @ (vals * rho[k:])
+    contour = c_next * np.polyval(m_n[::-1], xs) - c_n * np.polyval(m_next[::-1], xs)
+    return out + np.ldexp(contour.real / count, shift)
 
 
 def _hermite(nodes, x, diffs, u, poles):

@@ -1,6 +1,7 @@
-"""Evaluation of the Gegenbauer polynomial C_n and its derivative.
+"""Evaluation of the Gegenbauer polynomial C_n, its derivative and the
+second-kind functions Q_l(z) = integral of w(y) C_l(y) / (z - y) dy.
 
-Two routes are provided and cross-checked by the test suite:
+Two routes for C_n are provided and cross-checked by the test suite:
 
 * the three-term recurrence (real or complex argument, vectorized), one
   in-place sweep that eval_recurrence, recurrence_table and
@@ -9,6 +10,10 @@ Two routes are provided and cross-checked by the test suite:
 * the w-series C_n(z) = sum_k g_k g_{n-k} w^{n-2k}, valid off the unit disk
   with z = (w + 1/w)/2, in the normalized form C_n(z)/(g_n w^n) built
   entirely from O(1) coefficient ratios, stable for arbitrarily large n.
+
+Q_l solves the same recurrence for l >= 1 as its minimal solution, so
+second_kind_sweep takes it from one backward (Miller) sweep of the ratios
+Q_l / Q_{l-1} (Gautschi, SIAM Rev. 9, 1967).
 """
 
 import math
@@ -16,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .special import as_param
+from .special import as_param, h_norm
 
 __all__ = [
     "calibrated_sup_scale",
@@ -26,7 +31,13 @@ __all__ = [
     "eval_with_derivative",
     "normalized_on_ellipse",
     "value_at_one",
+    "second_kind_sweep",
+    "second_kind_table",
 ]
+
+# second_kind_table's Miller start: digits resolved, and the cap in steps beyond n
+MILLER_DIGITS = 20
+MILLER_MAX_STEPS = 100_000
 
 
 def _as_points(x):
@@ -182,6 +193,56 @@ def value_at_one(param, n: int) -> float:
     return sign * math.exp(
         math.lgamma(n + 2.0 * lam) - math.lgamma(n + 1.0) - math.lgamma(2.0 * lam)
     )
+
+
+def second_kind_sweep(param, start: int, z):
+    """Yield (l, r_l, r_l') for l = start - 1, ..., 1, then (0, F_0, F_0'),
+    at the complex points z: F solves the recurrence with F_start = 0 and
+    F_1 = 2 lam (z F_0 - h_0), r_l = F_l / F_{l-1} and ' is d/dz.
+
+    From r_start = 0, r_{l-1} = b_l / (a_l z - l r_l) with a_l = 2 (l + lam - 1)
+    and b_l = l + 2 lam - 2, and F_0 = 2 lam h_0 / (2 lam z - r_1).  Then
+    F_l = Q_l - C_l Q_start / C_start, which is sum_j w_j C_l(y_j) / (z - y_j)
+    over the Gauss rule with `start` points.
+    """
+    lam = as_param(param).lam
+    r = dr = np.zeros_like(z)
+    for l in range(start, 1, -1):
+        a, b = 2.0 * (l + lam - 1.0), l + 2.0 * lam - 2.0
+        den = a * z - l * r
+        r = b / den
+        dr = r * (l * dr - a) / den
+        yield l - 1, r, dr
+    den = 2.0 * lam * z - r
+    f0 = 2.0 * lam * h_norm(lam, 0) / den
+    yield 0, f0, f0 * (dr - 2.0 * lam) / den
+
+
+def second_kind_table(param, n: int, z):
+    """(Q, Q'): row l holds Q_l and its derivative at the points z off [-1, 1].
+
+    second_kind_sweep starts MILLER_DIGITS ln 10 / ln|w| steps beyond n,
+    z = (w + 1/w) / 2 with |w| > 1 at the point nearest [-1, 1], so C_l
+    enters Q_l below 10^-MILLER_DIGITS; a longer sweep than MILLER_MAX_STEPS
+    raises ValueError.
+    """
+    if n < 0:
+        raise ValueError("n must be a nonnegative integer")
+    pts, scalar = _as_points(z)
+    pts = pts.astype(complex)
+    log_w = float(np.min(np.log(np.abs(pts + np.sqrt(pts - 1.0) * np.sqrt(pts + 1.0)))))
+    steps = math.ceil(MILLER_DIGITS * math.log(10.0) / log_w) if log_w > 0 else math.inf
+    if steps > MILLER_MAX_STEPS:
+        raise ValueError(f"z is too close to [-1, 1]: Q needs {steps} recurrence steps "
+                         f"beyond n, at most {MILLER_MAX_STEPS} are taken")
+    q = np.empty((n + 1,) + pts.shape, dtype=complex)
+    dq = np.empty_like(q)
+    for l, r, dr in second_kind_sweep(param, n + steps, pts):
+        if l <= n:
+            q[l], dq[l] = r, dr
+    for l in range(1, n + 1):
+        q[l], dq[l] = q[l] * q[l - 1], dq[l] * q[l - 1] + q[l] * dq[l - 1]
+    return (q[:, 0], dq[:, 0]) if scalar else (q, dq)
 
 
 @lru_cache(maxsize=None)

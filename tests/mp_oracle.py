@@ -1,16 +1,17 @@
-"""Independent arbitrary-precision oracle for interpolation and differentiation
-errors: the barycentric formulas evaluated in mpmath on Newton-refined nodes.
+"""Independent arbitrary-precision oracle for interpolation, differentiation
+and truncated-expansion errors: the barycentric formulas and the expansion
+evaluated in mpmath on Newton-refined nodes.
 
-The library measures these errors with Hermite's formula in double precision
-(operators.hermite_*_error); the tests compare it against this slow, plainly
-written path.  u and du must accept mpmath arguments.
+The library measures these errors in double precision from Cauchy's formula
+(operators.hermite_*_error, operators.exact_expansion_error); the tests
+compare it against this slow, plainly written path.  u and du must accept
+mpmath arguments.
 
-It also keeps plain copies of the high-precision node, quadrature and
-expansion paths, written with mpf operators on every node: the recurrence
-with its coefficients rebuilt at every step, always five Newton steps per
-node, one recurrence per degree in the expansion, and the barycentric
-interpolant inside mp.quad.  The library's versions (mirrored refinement,
-raw libmp kernels) must agree with them bit for bit.
+It also keeps plain copies of the high-precision node and quadrature paths,
+written with mpf operators on every node: the recurrence with its
+coefficients rebuilt at every step, always five Newton steps per node, and
+the barycentric interpolant inside mp.quad.  The library's versions
+(mirrored refinement, raw libmp kernels) must agree with them bit for bit.
 
 gauss_node_weight_mp checks the closed-form Gauss weights against the
 Christoffel-number formula at 50 digits; it uses nothing from the library.
@@ -21,13 +22,25 @@ from functools import lru_cache
 import mpmath as mp
 
 from gegenspec import nodes as _nodes
-from gegenspec.highprec import (
-    DPS,
-    _grid_mp,
-    _h_norm_mp,
-    _interpolation_data,
-)
+from gegenspec.highprec import DPS, _interpolation_data
+from gegenspec.operators import GRID_SIZE
 from gegenspec.special import as_param
+
+
+def h_norm_mp(lam, n):
+    """Squared weighted norm h_n of the degree-n polynomial (see special.h_norm)."""
+    return (
+        2 ** (1 - 2 * lam)
+        * mp.pi
+        * mp.gamma(n + 2 * lam)
+        / (mp.gamma(lam) ** 2 * mp.factorial(n) * (n + lam))
+    )
+
+
+def grid_mp():
+    """The GRID_SIZE-point uniform grid on [-1, 1] at working precision."""
+    m = GRID_SIZE - 1
+    return (mp.mpf(2 * i - m) / m for i in range(GRID_SIZE))
 
 
 def geg_plain(lam, n, x):
@@ -46,10 +59,10 @@ def dgeg_plain(lam, n, x):
 
 
 @lru_cache(maxsize=None)
-def gauss_nodes_mp_plain(lam: float, n: int) -> tuple:
-    """Gauss nodes at DPS digits: five Newton steps from the double-path values."""
+def gauss_nodes_mp_plain(lam: float, n: int, dps: int = DPS) -> tuple:
+    """Gauss nodes at dps digits: five Newton steps from the double-path values."""
     p = as_param(lam)
-    with mp.workdps(DPS):
+    with mp.workdps(dps):
         lam = mp.mpf(p.lam)
         out = []
         for x0 in _nodes.gauss_nodes(p, n).nodes:
@@ -110,40 +123,34 @@ def quad_error_mp_plain(lam: float, n: int, family: str, u) -> float:
         return float(abs(err))
 
 
-def expansion_error_mp_plain(lam: float, u, n: int) -> float:
-    """Max-grid error of the degree-n truncated expansion: one recurrence per
-    degree and quadrature node, one sweep per grid point."""
+def expansion_error_mp_plain(lam: float, u, n: int, points, dps: int = DPS) -> list:
+    """u(x) - (degree-n truncated expansion of u)(x) at each float x in points,
+    at dps digits, with the coefficients from the 2(n+1)-point Gauss rule:
+    one recurrence sweep per quadrature node and per point."""
     p = as_param(lam)
-    with mp.workdps(DPS):
+    with mp.workdps(dps):
         lam = mp.mpf(p.lam)
         npts = 2 * (n + 1)
         nn = npts - 1
-        ys = gauss_nodes_mp_plain(p.lam, nn)
+        ys = gauss_nodes_mp_plain(p.lam, nn, dps)
         lead_ratio = 2 * (nn + lam) / (nn + 1)
-        h_prev = _h_norm_mp(lam, nn)
-        ws = [
-            lead_ratio * h_prev / (geg_plain(lam, nn, y) * dgeg_plain(lam, npts, y))
-            for y in ys
-        ]
-        uv = [u(y) for y in ys]
-        coeffs = []
-        for l in range(n + 1):
-            s = mp.fsum(w * uy * geg_plain(lam, l, y) for w, uy, y in zip(ws, uv, ys))
-            coeffs.append(s / _h_norm_mp(lam, l))
-        worst = mp.mpf(0)
-        for xg in _grid_mp():
-            acc = coeffs[0]
-            c_prev = mp.mpf(1)
-            if n >= 1:
-                c = 2 * lam * xg
-                acc += coeffs[1] * c
-                for m in range(2, n + 1):
-                    c_prev, c = c, (
-                        2 * (m + lam - 1) * xg * c - (m + 2 * lam - 2) * c_prev
-                    ) / m
-                    acc += coeffs[m] * c
-            worst = max(worst, abs(acc - u(xg)))
-        return float(worst)
+        h_prev = h_norm_mp(lam, nn)
+
+        def sweep(x, top):
+            """[C_0(x), ..., C_top(x)] by the forward recurrence."""
+            vals = [mp.mpf(1), 2 * lam * x]
+            for m in range(2, top + 1):
+                vals.append((2 * (m + lam - 1) * x * vals[-1]
+                             - (m + 2 * lam - 2) * vals[-2]) / m)
+            return vals[:top + 1]
+
+        tables = [sweep(y, nn) for y in ys]
+        wu = [lead_ratio * h_prev / (t[nn] * dgeg_plain(lam, npts, y)) * u(y)
+              for t, y in zip(tables, ys)]
+        coeffs = [mp.fsum(a * t[l] for a, t in zip(wu, tables)) / h_norm_mp(lam, l)
+                  for l in range(n + 1)]
+        return [float(u(x) - mp.fsum(c * v for c, v in zip(coeffs, sweep(x, n))))
+                for x in map(mp.mpf, points)]
 
 
 def diff_error_mp(param, n: int, family: str, u, du, dps: int = DPS) -> float:
@@ -170,7 +177,7 @@ def interp_error_mp(param, n: int, family: str, u, dps: int = DPS) -> float:
     with mp.workdps(dps):
         xs, b, uv = _interpolation_data(param, n, family, u)
         worst = mp.mpf(0)
-        for xg in _grid_mp():
+        for xg in grid_mp():
             worst = max(worst, abs(interpolant_mp_plain(xs, b, uv, xg) - u(xg)))
         return float(worst)
 

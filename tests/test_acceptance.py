@@ -227,7 +227,7 @@ def test_criterion_08_expansion_decay():
     results = []
     for lam in STUDY_LAMBDAS:
         fn = TEST_FUNCTIONS["runge1"]
-        errs = [measure_expansion_error(lam, fn, n)[0] for n in ns]
+        errs = [measure_expansion_error(lam, fn, n) for n in ns]
         ratio = math.exp(fit_log_slope(ns, errs))
         results.append((lam, ratio, abs(ratio - target) / target))
     ok = all(dev <= 0.05 for _, _, dev in results)

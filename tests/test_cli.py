@@ -251,6 +251,25 @@ class TestExpansionDecayCommand:
         ratio = float(capsys.readouterr().out.strip().splitlines()[1].split(",")[2])
         assert ratio == pytest.approx(1 / RHO_SUP_S03, rel=0.1)
 
+    def test_pole_height_below_supported_exits_2(self, tmp_path, capsys):
+        # s^2 underflows at s = 1e-200, so u(0) would be inf
+        code = run_cli(["expansion-decay", "--config",
+                        write_config(tmp_path, {"rational_pole_imag": 1e-200}),
+                        "--function", CUSTOM_RATIONAL, "--lambda", "0.5", "--n", "8"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "at least 1e-100" in err
+
+    def test_pole_near_interval_gives_finite_rows(self, tmp_path, capsys):
+        code = run_cli(["expansion-decay", "--config",
+                        write_config(tmp_path, {"rational_pole_imag": 1e-3}),
+                        "--function", CUSTOM_RATIONAL, "--lambda", "0.5", "--lambda", "3.2",
+                        "--n", "0", "--n", "8", "--n", "64"])
+        assert code == 0
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert len(rows) == 6
+        assert all(math.isfinite(float(cell)) for row in rows for cell in row.split(","))
+
 
 # the study flags each subcommand reads, written out; any other exits 2
 READ_FLAGS = {"nodes": "--lambda --n --family", "fig2": "",

@@ -138,15 +138,14 @@ class TestRecord:
 
 class TestMeasurement:
     def test_escalation_kicks_in(self, monkeypatch):
-        # every kind shares one escalation step; the exact path (Hermite's
-        # formula for diff and interp, mpmath for quad and expansion) is
+        # every operator kind shares one escalation step; the exact path
+        # (Hermite's formula for diff and interp, mpmath for quad) is
         # replaced by a sentinel so both branches run without the exact work
         fn = ex.TEST_FUNCTIONS["runge1"]
         sentinel = 1.25e-30
         exact = {"diff": (ex, "hermite_diff_error", "hermite"),
                  "interp": (ex, "hermite_interp_error", "hermite"),
-                 "quad": (highprec, "quad_error_mp", "mpmath"),
-                 "expansion": (highprec, "expansion_error_mp", "mpmath")}
+                 "quad": (highprec, "quad_error_mp", "mpmath")}
         for kind, (module, name, backend) in exact.items():
             calls = []
             # the Hermite functions return signed values, measured as their max |.|
@@ -155,17 +154,11 @@ class TestMeasurement:
                 module, name, lambda *args: calls.append(args) or value,
             )
             measure = getattr(ex, f"measure_{kind}_error")
-
-            def run(n):
-                if kind == "expansion":
-                    return measure(0.5, fn, n)
-                return measure(0.5, n, GAUSS, fn)
-
-            err_small, backend_small = run(4)
+            err_small, backend_small = measure(0.5, 4, GAUSS, fn)
             assert backend_small == "float64", kind
             assert ex.MP_ESCALATE_BELOW <= err_small < 1.0, kind
             assert calls == [], kind
-            assert run(56) == (sentinel, backend), kind
+            assert measure(0.5, 56, GAUSS, fn) == (sentinel, backend), kind
             assert len(calls) == 1, kind
 
     def test_quad_measurement_legendre(self):
@@ -338,3 +331,12 @@ class TestRunners:
         rows = ex.run_expansion_decay(0.5, "exp", (8, 12, 16))
         # entire function: superexponential decay, ratio far below runge rate
         assert rows[0][2] < 0.1
+
+    def test_expansion_decay_entire_below_any_fixed_precision(self):
+        # e^x at the default degrees: the errors fall from 3e-8 to 4.8e-110,
+        # far below the rounding floor of any fixed working precision
+        rows = ex.run_expansion_decay(0.5, "exp", range(8, 68, 4))
+        errs = [r[1] for r in rows]
+        assert all(b < a for a, b in zip(errs, errs[1:]))
+        assert errs[-1] < 1e-100
+        assert rows[0][2] < 0.05

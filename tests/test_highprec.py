@@ -5,7 +5,12 @@ import mp_oracle
 from gegenspec import highprec
 from gegenspec.experiments import TEST_FUNCTIONS
 from gegenspec.nodes import GAUSS, GAUSS_LOBATTO, gauss_lobatto_nodes, gauss_nodes
-from gegenspec.operators import differentiate_at_nodes, truncated_expansion_error
+from gegenspec.operators import (
+    GRID_SIZE,
+    differentiate_at_nodes,
+    exact_expansion_error,
+    truncated_expansion_error,
+)
 
 RUNGE = lambda x: 1 / (1 + x * x)
 RUNGE_D = lambda x: -2 * x / (1 + x * x) ** 2
@@ -50,8 +55,10 @@ class TestErrorsAgreeWithDouble:
         assert dbl == pytest.approx(ref, rel=1e-6)
 
     def test_expansion_error(self):
-        dbl = truncated_expansion_error(0.5, RUNGE, 10)
-        ref = highprec.expansion_error_mp(0.5, RUNGE, 10)
+        fn = TEST_FUNCTIONS["runge1"]
+        dbl = truncated_expansion_error(0.5, fn.u, 10)
+        xs = np.linspace(-1, 1, GRID_SIZE)
+        ref = np.max(np.abs(exact_expansion_error(0.5, fn.u, fn.poles, 10, xs)))
         assert dbl == pytest.approx(ref, rel=1e-6)
 
 
@@ -71,11 +78,10 @@ class TestBeyondDoubleFloor:
         assert errs[2] < 1e-2 * errs[1]
 
 
-# The library's node, quadrature and expansion paths build the recurrence
-# coefficients once, stop Newton at a fixed point, refine only the upper half
-# of the nodes, take every degree from one sweep and run their hot loops on
-# raw libmp values; mp_oracle keeps the plain versions.  The values must be
-# the same mpf.
+# The library's node and quadrature paths build the recurrence coefficients
+# once, stop Newton at a fixed point, refine only the upper half of the nodes
+# and run their hot loops on raw libmp values; mp_oracle keeps the plain
+# versions.  The values must be the same mpf.
 
 BIT_LAMS = (-0.3, 0.5, 1.5, 2.5)
 
@@ -93,12 +99,6 @@ class TestBitIdentity:
         for n in range(1, 65):
             ref = mp_oracle.lobatto_nodes_mp_plain(lam, n)
             assert highprec.lobatto_nodes_mp(lam, n) == ref
-
-    @pytest.mark.parametrize("lam", BIT_LAMS)
-    def test_expansion_error_mp(self, lam):
-        for n in (0, 1, 2, 5, 12, 24):
-            got = highprec.expansion_error_mp(lam, RUNGE, n)
-            assert got == mp_oracle.expansion_error_mp_plain(lam, RUNGE, n)
 
     @pytest.mark.parametrize("family", (GAUSS, GAUSS_LOBATTO))
     @pytest.mark.parametrize("lam", (0.5, 1.5))

@@ -3,11 +3,15 @@ import math
 import numpy as np
 import pytest
 
+import mp_oracle
 from gegenspec.bounds import minimize_bound_on_grid, rho_scan_grid, scan_sups
+from gegenspec.experiments import TEST_FUNCTIONS, make_rational, measure_expansion_error
 from gegenspec.nodes import gauss_lobatto_nodes, gauss_nodes
 from gegenspec.operators import (
+    GRID_SIZE,
     diff_matrix,
     differentiate_at_nodes,
+    exact_expansion_error,
     expansion_coeffs,
     interpolate,
     truncated_expansion_error,
@@ -166,3 +170,53 @@ class TestTruncatedExpansionError:
         e40 = truncated_expansion_error(0.5, np.abs, 40)
         # two octaves gain far less than any geometric rate would give
         assert e40 > 0.05 * e20
+
+
+# every 50th point of the measurement grid, the ends and the middle included
+GRID_SUBSET = np.linspace(-1.0, 1.0, GRID_SIZE)[::50]
+
+
+class TestExactExpansionError:
+    """The second-kind-function kernel against the expansion evaluated at 50
+    digits, the coefficients included."""
+
+    @pytest.mark.parametrize("fn", [TEST_FUNCTIONS["runge1"], TEST_FUNCTIONS["runge2"],
+                                    TEST_FUNCTIONS["exp"], make_rational(0.05),
+                                    make_rational(3.0)], ids=lambda fn: fn.name)
+    @pytest.mark.parametrize("lam", LAM_GRID)
+    def test_matches_mp_oracle(self, fn, lam):
+        for n in (0, 1, 2, 5, 12, 24):
+            got = exact_expansion_error(lam, fn.u, fn.poles, n, GRID_SUBSET)
+            ref = np.array(mp_oracle.expansion_error_mp_plain(lam, fn.u, n, GRID_SUBSET, 50))
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), n
+
+    def test_pole_rate_at_large_degree(self):
+        # (e_{n+100} / e_n)^(1/100) tends to 1/rho for the poles at +-i,
+        # rho = 1 + sqrt(2); e_700 is about 6e-268
+        fn = TEST_FUNCTIONS["runge1"]
+        errs = [measure_expansion_error(0.5, fn, n) for n in (400, 500, 600, 700)]
+        assert all(math.isfinite(e) for e in errs)
+        for e, e_next in zip(errs, errs[1:]):
+            assert (e_next / e) ** 0.01 == pytest.approx(1 / (1 + math.sqrt(2)), abs=1e-3)
+
+    def test_entire_function_keeps_decaying(self):
+        # e^x: the error near 2^-n / (n + 1)! reaches 6e-256 at n = 128
+        errs = [measure_expansion_error(0.5, TEST_FUNCTIONS["exp"], n)
+                for n in range(8, 136, 8)]
+        assert all(0.0 < e_next < e for e, e_next in zip(errs, errs[1:]))
+        assert errs[-1] < 1e-250
+
+    def test_float64_operator_agrees_above_its_floor(self):
+        for fn in (TEST_FUNCTIONS["runge2"], make_rational(0.3)):
+            for n in (4, 10, 16):
+                err = measure_expansion_error(1.5, fn, n)
+                assert truncated_expansion_error(1.5, fn.u, n) == pytest.approx(err, rel=1e-6)
+
+    def test_rejects_bad_input(self):
+        fn = TEST_FUNCTIONS["runge1"]
+        with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+            exact_expansion_error(0.5, fn.u, fn.poles, 4, np.array([1.5]))
+        with pytest.raises(ValueError, match="order"):
+            exact_expansion_error(0.5, RUNGE, ((1j, (0, 0, 1)),), 4, GRID_SUBSET)
+        with pytest.raises(ValueError, match="not finite"):
+            exact_expansion_error(0.5, lambda z: np.full_like(z, np.inf), (), 4, GRID_SUBSET)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gegenspec.nodes import gauss_nodes
 from gegenspec.poly import (
     eval_derivative,
     eval_recurrence,
@@ -10,6 +11,8 @@ from gegenspec.poly import (
     calibrated_sup_scale,
     normalized_on_ellipse,
     recurrence_table,
+    second_kind_sweep,
+    second_kind_table,
     value_at_one,
 )
 from gegenspec.special import g_coeff_sequence, h_norm
@@ -240,6 +243,63 @@ class TestNormalizedOnEllipse:
                 for n in (64, 128, 256, 512, 1024):
                     gaps.append(np.max(np.abs(normalized_on_ellipse(lam, n, w) - lim)))
                 assert all(b < a for a, b in zip(gaps, gaps[1:]))
+
+
+def second_kind_mp(lam, n, z, dps=50):
+    """[(Q_l, Q_l')] for l = 0..n at 50 digits: Q_0 = (h_0 / z) 2F1(1, 1/2;
+    lam + 1; 1 / z^2) and its derivative, then the forward recurrence and
+    its derivative, which lose about |w|^(2l) of the digits."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        lam, z = mp.mpf(lam), mp.mpc(z)
+        h0 = mp.sqrt(mp.pi) * mp.gamma(lam + 0.5) / mp.gamma(lam + 1)
+        q0 = lambda t: h0 / t * mp.hyp2f1(1, 0.5, lam + 1, 1 / t ** 2)
+        q = [q0(z), 2 * lam * (z * q0(z) - h0)]
+        dq = [mp.diff(q0, z)]
+        dq.append(2 * lam * (q[0] + z * dq[0]))
+        for l in range(2, n + 1):
+            a, b = 2 * (l + lam - 1), l + 2 * lam - 2
+            q.append((a * z * q[-1] - b * q[-2]) / l)
+            dq.append((a * (q[-2] + z * dq[-1]) - b * dq[-2]) / l)
+        return [complex(v) for v in q[:n + 1]], [complex(v) for v in dq[:n + 1]]
+
+
+class TestSecondKind:
+    """Q_l(z) = integral of w(y) C_l(y) / (z - y) dy from the backward sweep."""
+
+    @pytest.mark.parametrize("lam", (-0.49, -0.3, 0.5, 1.5, 3.2))
+    def test_matches_closed_form_and_forward_recurrence(self, lam):
+        zs = np.array([1j, 0.3 + 0.05j, 2 + 0.5j, -0.9 + 0.01j])
+        q, dq = second_kind_table(lam, 20, zs)
+        for k, z in enumerate(zs):
+            q_ref, dq_ref = second_kind_mp(lam, 20, z)
+            np.testing.assert_allclose(q[:, k], q_ref, rtol=1e-13)
+            np.testing.assert_allclose(dq[:, k], dq_ref, rtol=1e-13)
+
+    def test_legendre_log(self):
+        # lam = 1/2: Q_0(z) = log((z + 1) / (z - 1)), Q_0' = -2 / (z^2 - 1)
+        q, dq = second_kind_table(0.5, 3, 2.0)
+        assert q.shape == (4,)
+        assert q[0] == pytest.approx(math.log(3.0), rel=1e-15)
+        assert dq[0] == pytest.approx(-2.0 / 3.0, rel=1e-15)
+
+    @pytest.mark.parametrize("lam", (-0.3, 0.5, 3.2))
+    def test_sweep_from_rule_size_is_gauss_cauchy_transform(self, lam):
+        # started at N, the sweep gives sum_j w_j C_l(y_j) / (z - y_j) over
+        # the N-point Gauss rule, to the rounding of that sum
+        big, zs = 12, np.array([1j, 0.2 + 0.1j, 5.0 - 3.0j])
+        rule = gauss_nodes(lam, big - 1)
+        terms = recurrence_table(lam, big - 1, rule.nodes) * rule.quad_weights
+        cauchy = 1.0 / (zs[None, :] - rule.nodes[:, None])
+        ratios = {l: r for l, r, _ in second_kind_sweep(lam, big, zs)}
+        f = np.cumprod([ratios[l] for l in range(big)], axis=0)
+        assert np.all(np.abs(f - terms @ cauchy) <= 1e-13 * (np.abs(terms) @ np.abs(cauchy)))
+
+    @pytest.mark.parametrize("z", (0.5, -1.0, 0.5 + 1e-9j))
+    def test_points_on_or_near_the_interval_rejected(self, z):
+        with pytest.raises(ValueError, match="too close"):
+            second_kind_table(0.5, 4, z)
 
 
 class TestValueAtOne:

@@ -27,6 +27,7 @@ REMOVED = (
     "diff_bound_gauss",
     "interp_bound_lobatto",
     "diff_bound_lobatto",
+    "expansion_error_mp",  # operators.exact_expansion_error is the one path
 )
 
 
