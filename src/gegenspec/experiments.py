@@ -355,8 +355,13 @@ def measure_expansion_error(param, fn: TestFunction, n) -> float:
 
 def scan_function(fn: TestFunction):
     """Boundary sups of fn on RHO_COUNT radii inside (1, hi), hi the smaller
-    of RHO_SUP_UNIT_POLES and fn.rho_sup: (rhos, sups, skipped) for certify."""
+    of RHO_SUP_UNIT_POLES and fn.rho_sup: (rhos, sups, skipped) for certify.
+    ConfigError when hi rounds to 1, as it does for pole heights below about
+    1.1e-16."""
     hi = min(RHO_SUP_UNIT_POLES, fn.rho_sup or math.inf)
+    if not hi > 1.0:
+        raise ConfigError(f"{fn.name} has no Bernstein ellipse to scan: pole heights "
+                          "below about 1.1e-16 give a radius that rounds to 1")
     rhos = rho_scan_grid(1.0, hi, RHO_COUNT)
     return (rhos, *scan_sups(fn.u, rhos, ELLIPSE_SAMPLES))
 

@@ -161,7 +161,9 @@ def gauss_nodes(param, n: int) -> NodeSet:
 def gauss_lobatto_nodes(param, n: int) -> NodeSet:
     """Lobatto node set: endpoints -1, 1 plus the zeros of C_{n-1} of family lam+1.
 
-    Quadrature weights are interpolatory with respect to the lam weight.
+    Quadrature weights are interpolatory with respect to the lam weight; a
+    weight that is not positive (none for lam <= 12 and n <= 256) is a
+    ValueError.
     """
     p = as_param(param)
     if n < 1:
@@ -172,7 +174,11 @@ def gauss_lobatto_nodes(param, n: int) -> NodeSet:
         interior, _ = gauss_rule(p.lam + 1.0, n - 2)
         x = np.concatenate([[-1.0], interior, [1.0]])
     b = barycentric_weights(x)
-    return NodeSet(GAUSS_LOBATTO, p, n, x, _interpolatory(x, b, p), b)
+    w = _interpolatory(x, b, p)
+    if not np.all(w > 0.0):
+        raise ValueError(f"Lobatto weights at lambda = {p.lam}, n = {n} are not all "
+                         f"positive (smallest {np.min(w):.3g})")
+    return NodeSet(GAUSS_LOBATTO, p, n, x, w, b)
 
 
 def quad_weights_interpolatory(nodes, param) -> np.ndarray:

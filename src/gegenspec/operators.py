@@ -119,22 +119,38 @@ def truncated_expansion_error(param, u, n: int) -> float:
     return float(np.max(np.abs(coeffs @ table - u(xs))))
 
 
+def _contour(u, poles, n: int, count: int):
+    """(z, u(z), powers) on the circle |z| = R of Cauchy's formula for the
+    exact errors: count trapezoid points, R = max(n + 1, 2 max|a|, 2) over
+    the poles a (n + 1 is the saddle radius for entire u), and a ValueError
+    where u is not finite.  Callers sum their kernels as series in x / z:
+    row k of powers is z^-k for k < ceil(64 ln 2 / ln R), so for |x| <= 1
+    the series reaches 2^-64.
+    """
+    radius = max(n + 1.0, 2.0 * max([1.0] + [abs(a) for a, _ in poles]))
+    z = radius * np.exp(2j * np.pi * np.arange(count) / count)
+    vals = u(z)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(f"u is not finite on the contour |z| = {radius:g}")
+    terms = math.ceil(64.0 * math.log(2.0) / math.log(radius))
+    return z, vals, z[None, :] ** -np.arange(terms)[:, None]
+
+
 def exact_expansion_error(param, u, poles, n: int, x) -> np.ndarray:
     """u(x) - p(x) at the points x in [-1, 1], p the degree-n truncated
     expansion of u with the coefficients of expansion_coeffs.
 
     poles as in hermite_interp_error, of order at most 2.  The error is the
-    integral of u(z) G(x, z) dz / (2 pi i) on |z| = R >= n + 1 minus the
+    integral of u(z) G(x, z) dz / (2 pi i) on _contour's circle minus the
     residues of u G at the poles, c_1 G(x, a) + c_2 dG/dz(x, a), where
         G(x, z) = 1/(z - x) - sum_j w_j K_n(x, y_j) / (z - y_j)
                 = A (C_{n+1}(x) F_n(z) - C_n(x) F_{n+1}(z)) / (z - x),
     y_j, w_j the N = 2(n + 1)-point Gauss rule, K_n the Christoffel-Darboux
     kernel, A = (n + 1) / (2 (n + lam) h_n) and F_l = Q_l - C_l Q_N / C_N
     the exact tail plus the aliasing of the rule (Gautschi & Varga, SIAM J.
-    Numer. Anal. 20, 1983), from second_kind_sweep started at N.  The
-    integral is the trapezoid rule on 2N + 64 points, summed as in _hermite.
-    F_n = F_0 r_1 ... r_n is rescaled by a power of two after each factor,
-    so it neither underflows nor rounds beyond its factors.
+    Numer. Anal. 20, 1983), from second_kind_sweep started at N, on 2N + 64
+    points.  F_n = F_0 r_1 ... r_n is rescaled by a power of two after each
+    factor, so it neither underflows nor rounds beyond its factors.
     """
     p = as_param(param)
     xs = np.asarray(x, dtype=float)
@@ -143,9 +159,7 @@ def exact_expansion_error(param, u, poles, n: int, x) -> np.ndarray:
     if any(len(cs) > 2 for _, cs in poles):
         raise ValueError("poles of order above 2 are not supported")
     c_n, c_next = recurrence_table(p, n + 1, xs)[n:]
-    radius = max(n + 1.0, 2.0 * max([1.0] + [abs(a) for a, _ in poles]))
-    count = 4 * (n + 1) + 64
-    z = radius * np.exp(2j * np.pi * np.arange(count) / count)
+    z, vals, powers = _contour(u, poles, n, 4 * (n + 1) + 64)
     # at the poles, then on the contour: A F_n = f_n 2^expo, dlog = F_n' / F_n
     # and rho = F_{n+1} / F_n
     zs = np.concatenate([[a for a, _ in poles], z]).astype(complex)
@@ -172,32 +186,24 @@ def exact_expansion_error(param, u, poles, n: int, x) -> np.ndarray:
         out -= residue.real
 
     k = len(poles)
-    vals = u(z)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError(f"u is not finite on the contour |z| = {radius:g}")
     shift = int(np.max(expo[k:]))
     vals = vals * f_n[k:] * np.ldexp(1.0, expo[k:] - shift)
-    # moments of z^-j, j < terms: the series in x / z reaches 2^-64
-    terms = math.ceil(64.0 * math.log(2.0) / math.log(radius))
-    powers = z[None, :] ** -np.arange(terms)[:, None]
     m_n, m_next = powers @ vals, powers @ (vals * rho[k:])
     contour = c_next * np.polyval(m_n[::-1], xs) - c_n * np.polyval(m_next[::-1], xs)
-    return out + np.ldexp(contour.real / count, shift)
+    return out + np.ldexp(contour.real / len(z), shift)
 
 
 def _hermite(nodes, x, diffs, u, poles):
     """N_p u[x_0, ..., x_n, x_p] at each point x_p, N_p the product of row p
     of diffs (omega(x_p), or omega'(x_p) at a node).
 
-    Hermite's formula on the circle |z| = R, which encloses the nodes and
-    every pole a of u, gives the divided difference as minus the residues
-    of u(z) / (omega(z) (z - x)) at the poles plus the contour integral.
+    Hermite's formula on _contour's circle (2(n+1) + 32 points) gives the
+    divided difference as minus the residues of u(z) / (omega(z) (z - x))
+    at the poles plus the contour integral.
     The residue of a pole with principal part sum_k c_k / (z - a)^k is
     sum_k c_k h_{k-1} / (omega(a) (a - x)), h_k the complete symmetric
-    sums of 1 / (y - a) over y in the nodes and x.  The integral is the
-    trapezoid rule on 2(n+1) + 32 points with R >= n + 1 (the saddle radius
-    for entire u), summed as a power series in x / z.  Every omega ratio is
-    a sum of logarithms of the factors x - x_j and z - x_j, so no product
+    sums of 1 / (y - a) over y in the nodes and x.  Every omega ratio is a
+    sum of logarithms of the factors x - x_j and z - x_j, so no product
     overflows, and no step subtracts nearly equal numbers: the result keeps
     its relative accuracy far below the rounding floor of the operators.
     """
@@ -218,18 +224,11 @@ def _hermite(nodes, x, diffs, u, poles):
         out += ratio * to_x * sum(c * hk for c, hk in zip(cs, h))
 
     n = len(nodes) - 1
-    radius = max(n + 1.0, 2.0 * max([1.0] + [abs(a) for a, _ in poles]))
-    count = 2 * (n + 1) + 32
-    z = radius * np.exp(2j * np.pi * np.arange(count) / count)
-    vals = u(z)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError(f"u is not finite on the contour |z| = {radius:g}")
+    z, vals, powers = _contour(u, poles, n, 2 * (n + 1) + 32)
     log_w = -np.sum(np.log(z[:, None] - nodes[None, :]), axis=1)  # log(1 / omega(z))
     shift = float(np.max(log_w.real))
-    # moments of z^-k, k < terms: the series in x / z reaches 2^-64
-    terms = math.ceil(64.0 * math.log(2.0) / math.log(radius))
-    moments = (z[None, :] ** -np.arange(terms)[:, None]) @ (vals * np.exp(log_w - shift))
-    out += sign * np.exp(log_n + shift) * np.polyval(moments[::-1] / count, x)
+    moments = powers @ (vals * np.exp(log_w - shift))
+    out += sign * np.exp(log_n + shift) * np.polyval(moments[::-1] / len(z), x)
     return out.real
 
 

@@ -21,7 +21,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GegenbauerParam:
-    """Family index lam of the weight (1-x^2)^(lam-1/2); lam > -1/2 and lam != 0."""
+    """Family index lam of the weight (1-x^2)^(lam-1/2); lam > -1/2 and
+    1 + lam != 1, which excludes lam = 0 and |lam| below about 1e-16."""
 
     lam: float
 
@@ -29,8 +30,9 @@ class GegenbauerParam:
         lam = float(self.lam)
         if not math.isfinite(lam) or lam <= -0.5:
             raise ValueError(f"lambda must satisfy lambda > -1/2, got {lam}")
-        if lam == 0.0:
-            raise ValueError("lambda = 0 is excluded (degenerate family)")
+        if 1.0 + lam == 1.0:
+            raise ValueError("lambda must not be 0 or so small that 1 + lambda == 1 "
+                             f"(a degenerate family), got {lam}")
         object.__setattr__(self, "lam", lam)
 
 

@@ -419,6 +419,23 @@ class TestErrorPaths:
         code = run_cli(["nodes", "--lambda", "0", "--n", "4"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv,config,names", [
+        (["fig3"], {"function_id": CUSTOM_RATIONAL, "rational_pole_imag": 1e-20},
+         ["custom-rational(s=1e-20)", "1.1e-16"]),
+        (["nodes", "--lambda", "1e-17", "--n", "4", "--family", "gauss"], None,
+         ["lambda", "1e-17"]),
+        (["nodes", "--lambda", "200", "--n", "50", "--family", "gauss-lobatto"], None,
+         ["lambda = 200.0", "n = 50", "-1.6e-50"]),
+    ], ids=["fig3-pole-rounds-to-interval", "lambda-zero-in-double", "lobatto-negative-weight"])
+    def test_edge_input_exits_2(self, argv, config, names, tmp_path, capsys):
+        if config is not None:
+            argv = [*argv, "--config", write_config(tmp_path, config)]
+        code = run_cli(argv)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert all(name in err for name in names)
+
     def test_unwritable_path_exits_4(self, capsys):
         code = run_cli(["nodes", "--lambda", "0.5", "--n", "1",
                         "--out", "/nonexistent-dir/x.csv"])

@@ -186,6 +186,15 @@ class TestLobattoNodes:
             ns.quad_weights, [1 / 3, 4 / 3, 1 / 3], rtol=1e-13
         )
 
+    @pytest.mark.parametrize("lam,n,message", [
+        (0.5, 0, "at least the two endpoints"),
+        # interpolatory weights -1.6e-50 at both ends
+        (200.0, 50, r"lambda = 200.0, n = 50 .* \(smallest -1.6e-50\)"),
+    ])
+    def test_rejected(self, lam, n, message):
+        with pytest.raises(ValueError, match=message):
+            gauss_lobatto_nodes(lam, n)
+
     def test_endpoints_exact(self):
         for lam in LAM_GRID:
             ns = gauss_lobatto_nodes(lam, 9)

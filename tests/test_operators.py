@@ -13,6 +13,8 @@ from gegenspec.operators import (
     differentiate_at_nodes,
     exact_expansion_error,
     expansion_coeffs,
+    hermite_diff_error,
+    hermite_interp_error,
     interpolate,
     truncated_expansion_error,
 )
@@ -218,5 +220,14 @@ class TestExactExpansionError:
             exact_expansion_error(0.5, fn.u, fn.poles, 4, np.array([1.5]))
         with pytest.raises(ValueError, match="order"):
             exact_expansion_error(0.5, RUNGE, ((1j, (0, 0, 1)),), 4, GRID_SUBSET)
-        with pytest.raises(ValueError, match="not finite"):
-            exact_expansion_error(0.5, lambda z: np.full_like(z, np.inf), (), 4, GRID_SUBSET)
+
+
+# the exact errors share one contour, |z| = max(n + 1, 2) = 5 at n = 4 with no poles
+@pytest.mark.parametrize("error", [
+    lambda u: exact_expansion_error(0.5, u, (), 4, GRID_SUBSET),
+    lambda u: hermite_interp_error(gauss_nodes(0.5, 4), u, (), GRID_SUBSET),
+    lambda u: hermite_diff_error(gauss_lobatto_nodes(1.5, 4), u, ()),
+], ids=["expansion", "hermite-interp", "hermite-diff"])
+def test_u_not_finite_on_contour(error):
+    with pytest.raises(ValueError, match=r"u is not finite on the contour \|z\| = 5$"):
+        error(lambda z: np.full_like(z, np.inf))

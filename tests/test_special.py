@@ -19,9 +19,11 @@ class TestGegenbauerParam:
         for lam in (-0.49, -1e-6, 1e-8, 0.5, 1.0, 7.25):
             assert GegenbauerParam(lam).lam == lam
 
-    @pytest.mark.parametrize("lam", [0.0, -0.5, -1.0, float("nan")])
+    # 1e-17 ... 5e-324: 1 + lam == 1, so every recurrence sees the degenerate lam = 0
+    @pytest.mark.parametrize("lam", [0.0, -0.5, -1.0, float("nan"),
+                                     1e-17, 1.1e-16, -5e-17, 5e-324])
     def test_rejects_invalid(self, lam):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^lambda .*, got {lam}$"):
             GegenbauerParam(lam)
 
 
