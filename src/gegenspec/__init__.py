@@ -28,7 +28,6 @@ from .nodes import (
     closed_form_gauss_rule,
     gauss_nodes,
     gauss_lobatto_nodes,
-    quad_weights_interpolatory,
     barycentric_weights,
 )
 from .operators import (
@@ -64,8 +63,7 @@ __all__ = [
     "eval_recurrence", "recurrence_table", "eval_derivative",
     "eval_with_derivative", "normalized_on_ellipse", "value_at_one",
     "GAUSS", "GAUSS_LOBATTO", "NodeSet", "gauss_rule", "closed_form_gauss_rule",
-    "gauss_nodes", "gauss_lobatto_nodes", "quad_weights_interpolatory",
-    "barycentric_weights",
+    "gauss_nodes", "gauss_lobatto_nodes", "barycentric_weights",
     "DiffMatrix", "interpolate", "diff_matrix", "differentiate_at_nodes",
     "expansion_coeffs", "truncated_expansion_error",
     "BoundBreakdown", "PoleOnContourError", "ellipse_points",

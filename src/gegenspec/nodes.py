@@ -12,7 +12,7 @@ x_{n-j} = -x_j and w_{n-j} = w_j exactly.
   (3.5e-3 at lam = 7.7, n = 1000; nothing left at lam = 20), and everywhere
   at tiny |lam|, where the Jacobi matrix's j = 1 entry cancels (7e-9 at
   lam = 1e-8, n = 2, and 4.5e-6 at n = 1000).  The Gauss node sets, the
-  Lobatto interior and the internal rule of the interpolatory weights use
+  Lobatto interior and the internal rule of the Lobatto weights use
   this route, and gauss_nodes_mp starts from its nodes; stored benchmark
   references pin its bits, so it stays until those are rebuilt.
 * closed_form_gauss_rule: eigenvalues only, one Newton step, and the
@@ -25,8 +25,8 @@ x_{n-j} = -x_j and w_{n-j} = w_j exactly.
   is its only caller.
 
 gauss_rule returns the bare (nodes, weights) rule, so no barycentric weights
-are built that nobody reads.  Lobatto weights always go through the
-interpolatory formula so one fully testable code path covers them.
+are built that nobody reads.  Lobatto weights integrate the Lagrange basis
+(_lagrange_matrix) with an internal Gauss rule.
 """
 
 from dataclasses import dataclass
@@ -45,7 +45,6 @@ __all__ = [
     "closed_form_gauss_rule",
     "gauss_nodes",
     "gauss_lobatto_nodes",
-    "quad_weights_interpolatory",
     "barycentric_weights",
 ]
 
@@ -161,9 +160,10 @@ def gauss_nodes(param, n: int) -> NodeSet:
 def gauss_lobatto_nodes(param, n: int) -> NodeSet:
     """Lobatto node set: endpoints -1, 1 plus the zeros of C_{n-1} of family lam+1.
 
-    Quadrature weights are interpolatory with respect to the lam weight; a
-    weight that is not positive (none for lam <= 12 and n <= 256) is a
-    ValueError.
+    Quadrature weights are interpolatory with respect to the lam weight: each
+    Lagrange basis polynomial (degree n) is integrated exactly by the n+2 point
+    Gauss rule of that weight.  A weight that is not positive (none for
+    lam <= 12 and n <= 256) is a ValueError.
     """
     p = as_param(param)
     if n < 1:
@@ -174,31 +174,22 @@ def gauss_lobatto_nodes(param, n: int) -> NodeSet:
         interior, _ = gauss_rule(p.lam + 1.0, n - 2)
         x = np.concatenate([[-1.0], interior, [1.0]])
     b = barycentric_weights(x)
-    w = _interpolatory(x, b, p)
+    y, wq = gauss_rule(p, n + 1)
+    w = _lagrange_matrix(x, b, y) @ wq
     if not np.all(w > 0.0):
         raise ValueError(f"Lobatto weights at lambda = {p.lam}, n = {n} are not all "
                          f"positive (smallest {np.min(w):.3g})")
     return NodeSet(GAUSS_LOBATTO, p, n, x, w, b)
 
 
-def quad_weights_interpolatory(nodes, param) -> np.ndarray:
-    """Interpolatory weights: integral of each Lagrange basis times the weight."""
-    x = np.asarray(nodes, dtype=float)
-    return _interpolatory(x, barycentric_weights(x), as_param(param))
-
-
-def _interpolatory(x, b, p) -> np.ndarray:
-    """Interpolatory weights of nodes x with barycentric weights b.
-
-    Each basis polynomial (degree n) is integrated exactly by an internal
-    Gauss rule of the same weight function with n+2 points.
-    """
-    y, wq = gauss_rule(p, len(x))          # n+2 points, exact through degree 2n+3
-    return _lagrange_matrix(x, b, y) @ wq
-
-
 def _lagrange_matrix(x, b, y) -> np.ndarray:
-    """Matrix L with L[j, q] = value of the j-th Lagrange basis at y[q]."""
+    """Matrix L with L[j, q] = value of the j-th Lagrange basis at y[q].
+
+    Second barycentric form: column q is b_j / (y_q - x_j) over its sum.  A
+    target that hits a node exactly gets that node's unit column.  This is the
+    one float64 evaluator of the basis; operators.interpolate and the Lobatto
+    weights both use it.
+    """
     diff = y[None, :] - x[:, None]
     hit_rows, hit_cols = np.nonzero(diff == 0.0)
     diff[hit_rows, hit_cols] = 1.0

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nodes import NodeSet, gauss_nodes
+from .nodes import NodeSet, _lagrange_matrix, gauss_nodes
 from .poly import recurrence_table, second_kind_sweep
 from .special import as_param, h_norm
 
@@ -51,22 +51,16 @@ class DiffMatrix:
 def interpolate(node_set: NodeSet, values, x):
     """Evaluate the polynomial interpolant of (nodes, values) at x.
 
-    Second barycentric formula with an exact short-circuit when x coincides
-    with a node; x may be a scalar or an array.
+    The values times the Lagrange basis matrix (second barycentric form), so
+    an x that coincides with a node returns that node's value exactly; x may
+    be a scalar or an array.
     """
     vals = np.asarray(values, dtype=float)
     if len(vals) != node_set.n + 1:
         raise ValueError("values must have one entry per node")
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    scalar = np.ndim(x) == 0
-    diff = xs[None, :] - node_set.nodes[:, None]
-    hit_rows, hit_cols = np.nonzero(diff == 0.0)
-    diff[hit_rows, hit_cols] = 1.0
-    terms = node_set.bary_weights[:, None] / diff
-    out = (vals @ terms) / np.sum(terms, axis=0)
-    if hit_rows.size:
-        out[hit_cols] = vals[hit_rows]
-    return float(out[0]) if scalar else out
+    out = vals @ _lagrange_matrix(node_set.nodes, node_set.bary_weights, xs)
+    return float(out[0]) if np.ndim(x) == 0 else out
 
 
 def diff_matrix(node_set: NodeSet) -> DiffMatrix:

@@ -424,9 +424,12 @@ class TestErrorPaths:
          ["custom-rational(s=1e-20)", "1.1e-16"]),
         (["nodes", "--lambda", "1e-17", "--n", "4", "--family", "gauss"], None,
          ["lambda", "1e-17"]),
+        (["nodes", "--lambda=1.2e-16", "--n", "4", "--family", "gauss"], None,
+         ["lambda", "1.2e-16", "1e-08"]),
         (["nodes", "--lambda", "200", "--n", "50", "--family", "gauss-lobatto"], None,
          ["lambda = 200.0", "n = 50", "-1.6e-50"]),
-    ], ids=["fig3-pole-rounds-to-interval", "lambda-zero-in-double", "lobatto-negative-weight"])
+    ], ids=["fig3-pole-rounds-to-interval", "lambda-zero-in-double", "lambda-below-minimum",
+         "lobatto-negative-weight"])
     def test_edge_input_exits_2(self, argv, config, names, tmp_path, capsys):
         if config is not None:
             argv = [*argv, "--config", write_config(tmp_path, config)]

@@ -15,7 +15,6 @@ from gegenspec.nodes import (
     gauss_lobatto_nodes,
     gauss_nodes,
     gauss_rule,
-    quad_weights_interpolatory,
 )
 from gegenspec.operators import diff_matrix
 from gegenspec.poly import eval_derivative, eval_recurrence
@@ -232,30 +231,23 @@ class TestLobattoNodes:
 
 class TestInterpolatoryWeights:
     def test_two_point_gauss(self):
-        w = quad_weights_interpolatory(
-            np.array([-1 / math.sqrt(3), 1 / math.sqrt(3)]), 0.5
-        )
-        np.testing.assert_allclose(w, [1.0, 1.0], rtol=1e-14)
+        np.testing.assert_allclose(gauss_nodes(0.5, 1).quad_weights, [1.0, 1.0], rtol=1e-14)
 
     def test_three_point_lobatto(self):
-        w = quad_weights_interpolatory(np.array([-1.0, 0.0, 1.0]), 0.5)
-        np.testing.assert_allclose(w, [1 / 3, 4 / 3, 1 / 3], rtol=1e-13)
+        np.testing.assert_allclose(gauss_lobatto_nodes(0.5, 2).quad_weights,
+                                   [1 / 3, 4 / 3, 1 / 3], rtol=1e-13)
 
     def test_single_node_total_mass(self):
         for lam in LAM_GRID:
-            w = quad_weights_interpolatory(np.array([0.0]), lam)
+            w = gauss_nodes(lam, 0).quad_weights
             assert w[0] == pytest.approx(total_mass(lam), rel=1e-13)
 
     def test_matches_eigenvector_weights(self):
         # independent route to the Gauss weights
         for lam in LAM_GRID:
             ns = gauss_nodes(lam, 12)
-            w = quad_weights_interpolatory(ns.nodes, lam)
+            w = interpolatory_weights_out_of_place(ns.nodes, lam)
             np.testing.assert_allclose(w, ns.quad_weights, rtol=1e-11)
-
-    def test_duplicate_nodes_rejected(self):
-        with pytest.raises(ValueError):
-            quad_weights_interpolatory(np.array([0.1, 0.1, 0.5]), 0.5)
 
 
 class TestBarycentricWeights:
@@ -330,6 +322,13 @@ def lagrange_matrix_out_of_place(x, b, y):
     return L
 
 
+def interpolatory_weights_out_of_place(x, lam):
+    """Integral of each Lagrange basis of the nodes x (degree n) against the
+    lam weight, by the n+2 point Gauss rule."""
+    y, wq = gauss_rule(lam, len(x))
+    return lagrange_matrix_out_of_place(x, barycentric_weights_out_of_place(x), y) @ wq
+
+
 def diff_matrix_out_of_place(ns):
     x, b = ns.nodes, ns.bary_weights
     diff = x[:, None] - x[None, :]
@@ -372,7 +371,7 @@ class TestBitIdentity:
     def test_lobatto_weights_match_public_routes(self, lam, n):
         ns = gauss_lobatto_nodes(lam, n)
         assert np.array_equal(ns.bary_weights, barycentric_weights(ns.nodes))
-        assert np.array_equal(ns.quad_weights, quad_weights_interpolatory(ns.nodes, lam))
+        assert np.array_equal(ns.quad_weights, interpolatory_weights_out_of_place(ns.nodes, lam))
 
     def test_in_place_kernels_match_out_of_place(self, lam, n):
         for ns in (gauss_nodes(lam, n), gauss_lobatto_nodes(lam, n)):

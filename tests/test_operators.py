@@ -39,10 +39,16 @@ class TestInterpolate:
         assert got == pytest.approx(0.37 ** 3, rel=1e-13)
 
     def test_node_hit_exact(self):
-        ns = gauss_lobatto_nodes(1.5, 5)
-        vals = RUNGE(ns.nodes)
-        for j in (0, 2, 5):
-            assert interpolate(ns, vals, float(ns.nodes[j])) == vals[j]
+        for ns in (gauss_nodes(0.5, 5), gauss_lobatto_nodes(1.5, 5)):
+            vals = RUNGE(ns.nodes)
+            for j in (0, 2, 5):
+                assert interpolate(ns, vals, float(ns.nodes[j])) == vals[j]
+            # an array target that mixes node hits with points between nodes
+            xs = np.array([-0.99, ns.nodes[0], 0.1, ns.nodes[2], ns.nodes[5], 0.95])
+            got = interpolate(ns, vals, xs)
+            assert np.array_equal(got[[1, 3, 4]], vals[[0, 2, 5]])
+            misses = [interpolate(ns, vals, float(x)) for x in xs[[0, 2, 5]]]
+            np.testing.assert_allclose(got[[0, 2, 5]], misses, rtol=1e-14)
 
     def test_runge_error_within_best_bound(self):
         ns = gauss_nodes(0.5, 20)

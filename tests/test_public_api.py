@@ -28,6 +28,7 @@ REMOVED = (
     "interp_bound_lobatto",
     "diff_bound_lobatto",
     "expansion_error_mp",  # operators.exact_expansion_error is the one path
+    "quad_weights_interpolatory",  # gauss_lobatto_nodes integrates the Lagrange basis
 )
 
 

@@ -19,9 +19,12 @@ class TestGegenbauerParam:
         for lam in (-0.49, -1e-6, 1e-8, 0.5, 1.0, 7.25):
             assert GegenbauerParam(lam).lam == lam
 
-    # 1e-17 ... 5e-324: 1 + lam == 1, so every recurrence sees the degenerate lam = 0
+    # 1e-17 ... 5e-324: 1 + lam == 1, so every recurrence sees the degenerate lam = 0;
+    # 1e-12 ... -1e-9 lie below LAM_MIN, where the rules lose accuracy (at
+    # 1.2e-16 and -6e-17 a Gauss node falls outside [-1, 1])
     @pytest.mark.parametrize("lam", [0.0, -0.5, -1.0, float("nan"),
-                                     1e-17, 1.1e-16, -5e-17, 5e-324])
+                                     1e-17, 1.1e-16, -5e-17, 5e-324,
+                                     1e-12, 1.2e-16, -6e-17, -1e-9])
     def test_rejects_invalid(self, lam):
         with pytest.raises(ValueError, match=f"^lambda .*, got {lam}$"):
             GegenbauerParam(lam)
