@@ -8,6 +8,10 @@ Interpolation and differentiation errors escalate to Hermite's formula in
 double precision (operators.hermite_*_error), which has no such floor;
 quadrature errors escalate to 35-digit mpmath (highprec).  The expansion
 error needs no escalation: operators.exact_expansion_error has no floor.
+
+highprec, and with it mpmath, is imported at the first quadrature
+escalation; the study functions take mpmath's exp on mpmath scalars without
+importing mpmath themselves.
 """
 
 import cmath
@@ -15,12 +19,11 @@ import io
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 
-from . import highprec
 from .bounds import (
     ELLIPSE_SAMPLES,
     THEOREMS,
@@ -102,10 +105,6 @@ KINDS = ("diff", "interp", "quad")
 DEFAULT_FIG2_GRID = ((1.5, 1.8), (0.5, 1.4), (3.2, 2.0), (-0.3, 2.0))
 
 
-def _is_mp(x):
-    return isinstance(x, (mp.mpf, mp.mpc))
-
-
 @dataclass(frozen=True)
 class TestFunction:
     """A built-in study function with hard-coded analytic derivative.
@@ -149,7 +148,11 @@ def _runge2_d(x):
 
 
 def _exp(x):
-    return mp.exp(x) if _is_mp(x) else np.exp(x)
+    # an mpmath scalar means mpmath is already loaded
+    mp = sys.modules.get("mpmath")
+    if mp is not None and isinstance(x, (mp.mpf, mp.mpc)):
+        return mp.exp(x)
+    return np.exp(x)
 
 
 # the function id of make_rational, whose pole height comes from the config
@@ -343,7 +346,13 @@ def measure_quad_error(param, n, family, fn: TestFunction):
     ref_nodes, ref_weights = closed_form_gauss_rule(p, max(4 * (n + 1), 128))
     ref = float(np.dot(ref_weights, fn.u(ref_nodes)))
     err = abs(ref - float(np.dot(ns.quad_weights, fn.u(ns.nodes))))
-    return _escalate(err, lambda: highprec.quad_error_mp(p, n, family, fn.u), "mpmath")
+
+    def exact():
+        from . import highprec
+
+        return highprec.quad_error_mp(p, n, family, fn.u)
+
+    return _escalate(err, exact, "mpmath")
 
 
 def measure_expansion_error(param, fn: TestFunction, n) -> float:

@@ -24,6 +24,9 @@ creation and type dispatch go.  Bit identity matters because at large n the
 quadrature error at DPS digits is rounding noise (see quad_error_mp): the
 value there is reproducible only by the same roundings.  The measured
 function u must map an mpf to an mpf.
+
+The package does not import this module: experiments.measure_quad_error
+imports it at its first escalation, and mpmath loads with it.
 """
 
 import mpmath as mp

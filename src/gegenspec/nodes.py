@@ -27,12 +27,14 @@ x_{n-j} = -x_j and w_{n-j} = w_j exactly.
 gauss_rule returns the bare (nodes, weights) rule, so no barycentric weights
 are built that nobody reads.  Lobatto weights integrate the Lagrange basis
 (_lagrange_matrix) with an internal Gauss rule.
+
+scipy.linalg (eigh_tridiagonal) is imported inside the two routes, so it
+loads at the first eigensolve and not with the package.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .poly import eval_with_derivative
 from .special import as_param, h_norm, total_mass
@@ -104,6 +106,8 @@ def gauss_rule(param, n: int) -> tuple[np.ndarray, np.ndarray]:
     count = n + 1
     if count == 1:
         return np.array([0.0]), np.array([total_mass(p)])
+    from scipy.linalg import eigh_tridiagonal
+
     x, vecs = eigh_tridiagonal(np.zeros(count), _jacobi_offdiag(p.lam, count))
     w = total_mass(p) * vecs[0] ** 2
     for _ in range(2):
@@ -135,6 +139,8 @@ def closed_form_gauss_rule(param, n: int) -> tuple[np.ndarray, np.ndarray]:
     if count == 1:
         return np.array([0.0]), np.array([mass])
     lam = p.lam
+    from scipy.linalg import eigh_tridiagonal
+
     x = eigh_tridiagonal(np.zeros(count), _jacobi_offdiag(lam, count), eigvals_only=True)
     c, dc = eval_with_derivative(p, count, x)
     delta = c / dc

@@ -87,12 +87,14 @@ BIT_LAMS = (-0.3, 0.5, 1.5, 2.5)
 
 
 class TestBitIdentity:
+    @pytest.mark.slow
     @pytest.mark.parametrize("lam", BIT_LAMS)
     def test_gauss_nodes_mp(self, lam):
         for n in range(1, 65):
             ref = list(mp_oracle.gauss_nodes_mp_plain(lam, n))
             assert highprec.gauss_nodes_mp(lam, n) == ref
 
+    @pytest.mark.slow
     @pytest.mark.parametrize("lam", BIT_LAMS)
     def test_lobatto_nodes_mp(self, lam):
         # lam + 1 = 1.5 and 2.5 reuse the plain Gauss nodes cached above

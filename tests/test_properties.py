@@ -11,7 +11,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gegenspec.bounds import remainder_bound, remainder_exact
-from gegenspec.nodes import closed_form_gauss_rule, gauss_lobatto_nodes, gauss_nodes, gauss_rule
+from gegenspec.experiments import KINDS, certify, make_rational, scan_function
+from gegenspec.nodes import (
+    GAUSS,
+    GAUSS_LOBATTO,
+    closed_form_gauss_rule,
+    gauss_lobatto_nodes,
+    gauss_nodes,
+    gauss_rule,
+)
 from gegenspec.operators import differentiate_at_nodes
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -90,3 +98,17 @@ def test_diff_matrix_exact_on_chebyshev_series(lam, n, seed):
         want = dp(ns.nodes)
         err = np.max(np.abs(differentiate_at_nodes(ns, p(ns.nodes)) - want))
         assert err <= 1e-9 * max(np.max(np.abs(want)), 1.0)
+
+
+# The certified diff, interp and quad bounds of 1/(x^2 + s^2) dominate the
+# measured errors for random pole heights.  n starts at 3: at n <= 2 the
+# bounds fail dominance for lam >= 1.5.  60 draws keep the test near 5 s.
+@settings(SETTINGS, max_examples=60)
+@given(s=st.floats(min_value=0.05, max_value=0.9), lam=st.floats(min_value=0.5, max_value=3.2),
+       family=st.sampled_from((GAUSS, GAUSS_LOBATTO)), n=st.integers(min_value=3, max_value=64))
+def test_certified_bounds_dominate_custom_rational(s, lam, family, n):
+    fn = make_rational(s)
+    records = certify(fn, lam, n, family, KINDS, scan_function(fn))
+    over = {kind: (r.measured_error, r.bound_total) for kind, r in records.items()
+            if r.exceeds_bound}
+    assert not over
