@@ -15,7 +15,6 @@ from .special import (
 from .poly import (
     eval_recurrence,
     recurrence_table,
-    eval_derivative,
     eval_with_derivative,
     normalized_on_ellipse,
     value_at_one,
@@ -60,7 +59,7 @@ __version__ = "0.1.0"
 __all__ = [
     "GegenbauerParam", "g_coeff_sequence", "d_coeff_sequence", "h_norm",
     "total_mass",
-    "eval_recurrence", "recurrence_table", "eval_derivative",
+    "eval_recurrence", "recurrence_table",
     "eval_with_derivative", "normalized_on_ellipse", "value_at_one",
     "GAUSS", "GAUSS_LOBATTO", "NodeSet", "gauss_rule", "closed_form_gauss_rule",
     "gauss_nodes", "gauss_lobatto_nodes", "barycentric_weights",

@@ -101,7 +101,8 @@ def remainder_exact(param, n: int, rho: float) -> float:
     The head is one array expression over the coefficient sequences; the
     infinite tail continues the g_k recurrence from g_n and stops once a term
     is at most _TAIL_RTOL times the accumulated sum (geometric decay; a sum
-    that underflows to 0 stops at once).
+    that underflows to 0 stops at once).  A rho too close to 1 for the tail
+    to stop within `steps` terms is a ValueError before it runs.
     """
     lam = as_param(param).lam
     if n < 0:
@@ -113,6 +114,11 @@ def remainder_exact(param, n: int, rho: float) -> float:
     total = (float(np.sum(np.abs(d_coeff_sequence(lam, n)) * np.abs(g[1:]) * qk[1:]))
              if n else 0.0)
     g, qk, k = g[n], qk[n], n
+    steps = 100_000_000
+    first = float(abs(g * (n + lam) / (n + 1.0)) * qk * q)
+    if _tail_outlasts(lam, n, q, total, first, steps):
+        raise ValueError(f"rho={rho} is too close to 1: the remainder tail needs more "
+                         f"than {steps} terms to converge")
     while True:
         k += 1
         g *= (k - 1.0 + lam) / k
@@ -121,8 +127,31 @@ def remainder_exact(param, n: int, rho: float) -> float:
         total += term
         if term <= _TAIL_RTOL * total:
             return total
-        if k > n + 100_000_000:
+        if k > n + steps:
             raise RuntimeError("tail failed to converge")
+
+
+def _tail_outlasts(lam, n, q, head, first, steps) -> bool:
+    """True if remainder_exact's tail, from the term `first` after the head
+    sum `head`, provably cannot stop within `steps` terms.  The terms rise
+    up to k = peak: there none is below the first and the sum is at most
+    head + (count x term); beyond it none is below the last (bounded by
+    Bernoulli's inequality) and the sum is below head + max(1, (1-q)^-lam).
+    """
+    if not 0.0 < first < math.inf:
+        return False
+    if first * (1.0 - _TAIL_RTOL * (steps + 1.0)) <= _TAIL_RTOL * head:
+        return False
+    peak = (lam - 1.0) * q / (1.0 - q)
+    if peak >= n + steps + 1.0:
+        return True
+    if lam >= 1.0:
+        log_p = (lam - 1.0) * math.log1p(steps / (n + math.floor(lam) + 1.0))
+    else:
+        log_p = -(2.0 if lam < 0 else 1.0 - lam) * math.log1p(steps / (n + 1.0))
+    log_sum = max(0.0, -lam * math.log1p(-q))
+    log_sum += math.log1p(head * math.exp(-log_sum))
+    return math.log(first) + steps * math.log(q) + log_p > math.log(_TAIL_RTOL) + log_sum
 
 
 def _head_factor(lam: float, rho: float) -> float:
@@ -247,8 +276,8 @@ def e_n_metrics(param, ns, rho: float) -> list[float]:
 
 # The interp/diff bounds below are elementwise in rho and M_rho.  Each is
 # written once as a factor function (lam, n, rho, m_rho) -> (theorem id,
-# flags, constant, rate) on numpy arrays, so the same expression gives the
-# single-rho BoundBreakdown and the whole rho grid of minimize_bound_on_grid.
+# flags, constant, rate) on numpy arrays, evaluated once per grid by
+# _minimum; a single-rho BoundBreakdown is the grid of one rho.
 
 
 def _rate(power: float, n: int, rho):
@@ -264,28 +293,24 @@ def _check_bound_args(n: int, rho: float, m_rho: float):
         raise ValueError(f"M_rho must be finite and >= 0, got {m_rho}")
 
 
-def _breakdown(factors, param, n: int, rho: float, m_rho: float) -> BoundBreakdown:
-    """Evaluate factors at one (rho, M_rho).
-
-    rho goes in as a one-element array so the arithmetic runs through the
-    same numpy loops as a grid scan, and the two agree bit for bit.  A
-    factor that overflows (a huge rho or M_rho) raises ValueError rather
-    than returning a non-finite total.
-    """
-    lam = as_param(param).lam
-    _check_bound_args(n, rho, m_rho)
+def _minimum(factors, lam: float, n: int, rhos, sups) -> tuple[int, BoundBreakdown]:
+    """(i, breakdown at rhos[i]) for the first rho minimising the bound,
+    from one evaluation of factors over the grid (non-finite sups count as
+    +inf).  A minimum that overflows (a huge rho or M_rho) raises ValueError
+    rather than returning a non-finite total."""
     with np.errstate(over="ignore", invalid="ignore"):
-        theorem_id, flags, const, rate = factors(lam, n, np.array([rho], float), m_rho)
-    const, rate = float(const[0]), float(rate[0])
-    total = const * rate
-    if not math.isfinite(total):
+        theorem_id, flags, const, rate = factors(lam, n, rhos, sups)
+        totals = const * rate
+    i = int(np.argmin(np.where(np.isfinite(sups), totals, np.inf)))
+    rho, m_rho = float(rhos[i]), float(sups[i])
+    if not math.isfinite(totals[i]):
         raise ValueError(f"{theorem_id} bound is not finite at rho={rho:g}, "
                          f"M_rho={m_rho:g}")
-    return BoundBreakdown(
+    return i, BoundBreakdown(
         theorem_id=theorem_id,
-        constant_factor=const,
-        rate_factor=rate,
-        total=total,
+        constant_factor=float(const[i]),
+        rate_factor=float(rate[i]),
+        total=float(totals[i]),
         parameters={"lambda": lam, "n": n, "rho": rho, "M_rho": m_rho},
         flags=flags,
     )
@@ -377,7 +402,9 @@ class Theorem:
         operator bounds and the split index m for the remainder bounds."""
         if self.factors is None:
             return remainder_bound(param, n, rho, arg)
-        return _breakdown(self.factors, param, n, rho, arg)
+        _check_bound_args(n, rho, arg)
+        return _minimum(self.factors, as_param(param).lam, n,
+                        np.array([rho], float), np.array([arg], float))[1]
 
 
 THEOREMS = {
@@ -420,12 +447,10 @@ def quad_bound(param, interp_breakdown: BoundBreakdown) -> BoundBreakdown:
     """Weighted-integral error bound: total mass factor h_0 times an
     interpolation bound (Gauss or Lobatto)."""
     p = as_param(param)
-    interp_ids = [tid for tid, t in THEOREMS.items() if t.kind == "interp"]
-    if interp_breakdown.theorem_id not in interp_ids:
-        raise ValueError(
-            "quad_bound needs an interpolation breakdown "
-            f"({'/'.join(interp_ids)}), got {interp_breakdown.theorem_id}"
-        )
+    theorem = THEOREMS.get(interp_breakdown.theorem_id)
+    if theorem is None or theorem.kind != "interp":
+        raise ValueError("quad_bound needs an interpolation breakdown, "
+                         f"got {interp_breakdown.theorem_id}")
     h0 = h_norm(p, 0)
     params = dict(interp_breakdown.parameters)
     params["h0"] = h0
@@ -501,8 +526,8 @@ def minimize_bound_on_grid(
     """Pick the rho from the precomputed (rhos, sups) grid minimizing a bound.
 
     The bound is evaluated on the whole grid at once, non-finite sups count
-    as +inf, and the first minimum wins; the returned breakdown is the
-    single-rho bound at that rho.
+    as +inf, and the first minimum wins; the returned breakdown is that grid
+    point's, equal to the single-rho bound there.
     """
     p = as_param(param)
     theorem = lookup_theorem(which, p.lam)
@@ -514,9 +539,7 @@ def minimize_bound_on_grid(
     if not np.any(finite):
         raise PoleOnContourError("every scanned rho had a non-finite boundary max")
     _check_bound_args(n, float(np.min(rhos[finite])), float(np.min(sups[finite])))
-    _, _, const, rate = theorem.factors(p.lam, n, rhos, sups)
-    i = int(np.argmin(np.where(finite, const * rate, np.inf)))
-    best = theorem.bound(p, n, float(rhos[i]), float(sups[i]))
+    i, best = _minimum(theorem.factors, p.lam, n, rhos, sups)
     if skipped:
         best = replace(best, flags=best.flags + [FLAG_SKIPPED_RHO])
     return float(rhos[i]), best

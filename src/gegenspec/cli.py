@@ -17,6 +17,7 @@ from .experiments import (
     FIG3_HEADER,
     NODES_HEADER,
     TEST_FUNCTIONS,
+    ConfigError,
     DominanceError,
     ExperimentConfig,
     format_rows,
@@ -76,11 +77,11 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--lambda", dest="lambda_", type=float, required=True)
     b.add_argument("--n", type=int, required=True)
     b.add_argument("--rho", type=float, required=True)
-    b.add_argument("--m-rho", type=float, default=1.0,
-                   help="sup of |u| on the ellipse boundary (default 1)")
+    b.add_argument("--m-rho", type=float,
+                   help="sup of |u| on the ellipse boundary, for the operator "
+                        "bounds (default 1)")
     b.add_argument("--theorem", required=True, choices=tuple(THEOREMS))
-    b.add_argument("--m", default="auto",
-                   help="tail split index for T31 bounds (default auto)")
+    b.add_argument("--m", help="tail split index for T31 bounds (default auto)")
     b.add_argument("--out")
     return parser
 
@@ -156,11 +157,13 @@ def _cmd_fig3(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    m = args.m
-    if m != "auto":
-        m = int(m)
-    result = run_bounds(args.lambda_, args.n, args.rho, args.m_rho,
-                        args.theorem, m)
+    remainder = THEOREMS[args.theorem].factors is None
+    flag, value = ("--m-rho", args.m_rho) if remainder else ("--m", args.m)
+    if value is not None:
+        raise ConfigError(f"{flag} does not apply to theorem {args.theorem}")
+    m = "auto" if args.m in (None, "auto") else int(args.m)
+    m_rho = 1.0 if args.m_rho is None else args.m_rho
+    result = run_bounds(args.lambda_, args.n, args.rho, m_rho, args.theorem, m)
     _emit(json.dumps(result, indent=2, sort_keys=True) + "\n", args.out)
     return EXIT_OK
 

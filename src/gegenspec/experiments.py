@@ -20,7 +20,7 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -131,14 +131,6 @@ class TestFunction:
         return min(radii, default=None)
 
 
-def _runge1(x):
-    return 1 / (1 + x * x)
-
-
-def _runge1_d(x):
-    return -2 * x / (1 + x * x) ** 2
-
-
 def _runge2(x):
     return 1 / (1 + x * x) ** 2
 
@@ -157,6 +149,8 @@ def _exp(x):
 
 # the function id of make_rational, whose pole height comes from the config
 CUSTOM_RATIONAL = "custom-rational"
+# its pole height s when the config sets none
+POLE_IMAG = 0.8
 # the smallest pole height s: there 1/(x^2 + s^2) peaks at 1e200 and its
 # derivative near 6.5e299; lower, they and the second-kind ratios overflow
 MIN_POLE_IMAG = 1e-100
@@ -175,15 +169,14 @@ def make_rational(pole_imag: float) -> TestFunction:
 
 
 TEST_FUNCTIONS = {
-    "runge1": TestFunction("runge1", _runge1, _runge1_d,
-                           ((1j, (-0.5j,)), (-1j, (0.5j,)))),
+    "runge1": replace(make_rational(1.0), name="runge1"),
     "runge2": TestFunction("runge2", _runge2, _runge2_d,
                            ((1j, (-0.25j, -0.25)), (-1j, (0.25j, -0.25)))),
     "exp": TestFunction("exp", _exp, _exp, ()),
 }
 
 
-def resolve_function(function_id: str, pole_imag: float = 0.8) -> TestFunction:
+def resolve_function(function_id: str, pole_imag: float = POLE_IMAG) -> TestFunction:
     if function_id in TEST_FUNCTIONS:
         return TEST_FUNCTIONS[function_id]
     if function_id == CUSTOM_RATIONAL:
@@ -224,7 +217,7 @@ class ExperimentConfig:
     function_id: str = "runge1"
     node_family: str = GAUSS
     fig2_grid: tuple = DEFAULT_FIG2_GRID
-    rational_pole_imag: float = 0.8
+    rational_pole_imag: float = POLE_IMAG
 
     def __post_init__(self):
         self.lambda_list = _as_tuple("lambda_list", self.lambda_list, _is_real, "numbers")
@@ -379,16 +372,19 @@ def certify(fn: TestFunction, lam, n, family, kinds, scan):
     """{kind: ExperimentRecord} of fn on the (lam, n, family) rule for each
     kind in kinds, a subset of KINDS: the measured error and the bound of the
     first THEOREMS entry of the kind's operator and family, minimised over
-    scan (from scan_function); quad takes the interpolation bound times h_0."""
+    scan (from scan_function), once per operator; quad takes the
+    interpolation minimum times h_0."""
     measures = {"diff": measure_diff_error, "interp": measure_interp_error,
                 "quad": measure_quad_error}
-    records = {}
+    records, minima = {}, {}
     for kind in kinds:
         measured, backend = measures[kind](lam, n, family, fn)
         operator = "diff" if kind == "diff" else "interp"
-        which = next(tid for tid, t in THEOREMS.items()
-                     if t.kind == operator and t.family == family)
-        rho_star, bd = minimize_bound_on_grid(lam, n, which, *scan)
+        if operator not in minima:
+            which = next(tid for tid, t in THEOREMS.items()
+                         if t.kind == operator and t.family == family)
+            minima[operator] = minimize_bound_on_grid(lam, n, which, *scan)
+        rho_star, bd = minima[operator]
         if kind == "quad":
             bd = quad_bound(lam, bd)
         records[kind] = ExperimentRecord(
@@ -537,7 +533,7 @@ def run_bounds(param, n, rho, m_rho, theorem_id, m="auto"):
     return theorem.bound(p, n, rho, m if theorem.factors is None else m_rho).as_dict()
 
 
-def run_expansion_decay(param, function_id, n_list, pole_imag: float = 0.8):
+def run_expansion_decay(param, function_id, n_list, pole_imag: float = POLE_IMAG):
     """Decay study rows (n, truncated-expansion error, fitted geometric ratio)."""
     fn = resolve_function(function_id, pole_imag)
     p = as_param(param)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nodes import NodeSet, _lagrange_matrix, gauss_nodes
-from .poly import recurrence_table, second_kind_sweep
+from .poly import GRID_SIZE, recurrence_table, second_kind_sweep
 from .special import as_param, h_norm
 
 __all__ = [
@@ -29,9 +29,6 @@ __all__ = [
     "hermite_interp_error",
     "hermite_diff_error",
 ]
-
-# points of the uniform grid on [-1, 1] where max-norm errors are measured
-GRID_SIZE = 2001
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ Two routes for C_n are provided and cross-checked by the test suite:
 * the three-term recurrence (real or complex argument, vectorized), one
   in-place sweep that eval_recurrence, recurrence_table and
   eval_with_derivative share; the last carries the families lam and lam+1
-  through it together, for the Newton polish of the Gauss nodes,
+  through it together and is the one source of C_n',
 * the w-series C_n(z) = sum_k g_k g_{n-k} w^{n-2k}, valid off the unit disk
   with z = (w + 1/w)/2, in the normalized form C_n(z)/(g_n w^n) built
   entirely from O(1) coefficient ratios, stable for arbitrarily large n.
@@ -27,7 +27,6 @@ __all__ = [
     "calibrated_sup_scale",
     "eval_recurrence",
     "recurrence_table",
-    "eval_derivative",
     "eval_with_derivative",
     "normalized_on_ellipse",
     "value_at_one",
@@ -39,6 +38,9 @@ __all__ = [
 MILLER_DIGITS = 20
 MILLER_MAX_STEPS = 100_000
 
+# points of the uniform grid on [-1, 1] where max-norm errors are measured
+GRID_SIZE = 2001
+
 
 def _as_points(x):
     """Return (array, scalar_flag) for a scalar or array argument."""
@@ -47,6 +49,12 @@ def _as_points(x):
     if not np.iscomplexobj(arr):
         arr = arr.astype(float) if arr.dtype != np.float64 else arr
     return np.atleast_1d(arr), scalar
+
+
+def _recurrence_coeffs(m, lam):
+    """(a_m, b_m) = (2 (m + lam - 1), m + 2 lam - 2), the coefficients of
+    both sweeps: m C_m = a_m x C_{m-1} - b_m C_{m-2}."""
+    return 2.0 * (m + lam - 1.0), m + 2.0 * lam - 2.0
 
 
 def _sweep(lams, n: int, pts):
@@ -67,8 +75,7 @@ def _sweep(lams, n: int, pts):
     c = 2.0 * col * pts
     yield c_prev, c
     ms = np.arange(2.0, n + 1.0).reshape((-1,) + (1,) * col.ndim)
-    a = 2.0 * (ms + col - 1.0)
-    b = ms + 2.0 * col - 2.0
+    a, b = _recurrence_coeffs(ms, col)
     nxt = np.empty_like(c)
     for m in range(2, n + 1):
         np.multiply(a[m - 2], pts, out=nxt)
@@ -108,19 +115,12 @@ def recurrence_table(param, n: int, x) -> np.ndarray:
     return table
 
 
-def eval_derivative(param, n: int, x):
-    """Derivative of C_n, i.e. 2 lam C_{n-1} of the family lam+1.  Needs n >= 1."""
-    p = as_param(param)
-    if n < 1:
-        raise ValueError("n must be >= 1 for the derivative")
-    return 2.0 * p.lam * eval_recurrence(p.lam + 1.0, n - 1, x)
-
-
 def eval_with_derivative(param, n: int, x):
-    """(C_n, C_n') at x from one sweep over the families lam and lam+1.
+    """(C_n, C_n') at x from one sweep over the families lam and lam+1,
+    with C_n' = 2 lam C_{n-1} of the family lam+1.
 
-    At real points the values are those of eval_recurrence and
-    eval_derivative, bit for bit.  Needs n >= 1.
+    At real points C_n is eval_recurrence's, bit for bit, and C_n' is
+    2 lam times eval_recurrence(lam + 1, n - 1, x).  Needs n >= 1.
     """
     p = as_param(param)
     if n < 1:
@@ -208,7 +208,7 @@ def second_kind_sweep(param, start: int, z):
     lam = as_param(param).lam
     r = dr = np.zeros_like(z)
     for l in range(start, 1, -1):
-        a, b = 2.0 * (l + lam - 1.0), l + 2.0 * lam - 2.0
+        a, b = _recurrence_coeffs(l, lam)
         den = a * z - l * r
         r = b / den
         dr = r * (l * dr - a) / den
@@ -251,11 +251,11 @@ def calibrated_sup_scale(lam: float) -> float:
 
     It gives the sup-norm bound max |C_n| <= D n^(lam-1) on [-1, 1] (for
     lam > 0 the max is the endpoint value C_n(1), see value_at_one).  The
-    sup is taken over n = 1..200 on a 2001-point grid; computed once per
+    sup is taken over n = 1..200 on the GRID_SIZE grid; computed once per
     lam and cached (write-once, read-many).  Results that depend on it are
     flagged downstream.
     """
-    xs = np.linspace(-1.0, 1.0, 2001)
+    xs = np.linspace(-1.0, 1.0, GRID_SIZE)
     table = recurrence_table(lam, 200, xs)
     best = 0.0
     for n in range(1, 201):

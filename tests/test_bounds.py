@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -156,6 +158,17 @@ class TestRemainderExact:
     def test_positive(self):
         for lam, n, rho in REMAINDER_LATTICE:
             assert remainder_exact(lam, n, rho) > 0.0
+
+    def test_rho_near_one(self):
+        # the tail converges within its step guard: the loop's own float
+        assert remainder_exact(0.5, 8, 1.0001) == 69.13068071599535
+        assert remainder_exact(0.5, 8, 1.001) == 20.787602810491556
+        # it cannot: rejected before the loop instead of after 1e8 steps
+        for lam in (0.5, 1.5, 3.2):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match=r"rho=1\.0000001 .*100000000"):
+                remainder_exact(lam, 8, 1.0 + 1e-7)
+            assert time.perf_counter() - start < 1.0
 
 
 class TestRemainderBound:
@@ -498,6 +511,22 @@ class TestRegistryBound:
             assert bd.constant_factor == const[i]
             assert bd.rate_factor == rate[i]
             assert bd.total == const[i] * rate[i]
+
+    @pytest.mark.parametrize("which,lam", [("T41i", 0.5), ("T41ii", -0.3), ("T43b", 1.5)])
+    def test_one_factor_evaluation_per_call(self, runge1_grid, which, lam, monkeypatch):
+        theorem = THEOREMS[which]
+        calls = []
+
+        def factors(*args):
+            calls.append(args)
+            return theorem.factors(*args)
+
+        monkeypatch.setitem(THEOREMS, which, dataclasses.replace(theorem, factors=factors))
+        rho_star, bd = minimize_bound_on_grid(lam, 16, which, *runge1_grid)
+        assert len(calls) == 1 and len(calls[0][2]) == len(runge1_grid[0])
+        # the single-rho bound is the one-point case of the same evaluation
+        assert THEOREMS[which].bound(lam, 16, rho_star, bd.parameters["M_rho"]) == bd
+        assert len(calls) == 2 and len(calls[1][2]) == 1
 
     @pytest.mark.parametrize("m", ("auto", 3))
     @pytest.mark.parametrize("which,lam", [("T31i", 1.5), ("T31i", 3.2),

@@ -160,6 +160,26 @@ class TestBoundsCommand:
             assert code == 2
             assert capsys.readouterr().err == self.DOMAIN_ERRORS[theorem_id]
 
+    @pytest.mark.parametrize("theorem_id,lam,flag", [
+        ("T41", "0.5", ["--m", "3"]), ("T42", "0.5", ["--m", "auto"]),
+        ("T43b", "1.5", ["--m", "2"]), ("T31i", "3.2", ["--m-rho", "2"]),
+        ("T31ii", "0.5", ["--m-rho", "1"]),
+    ])
+    def test_flag_of_the_other_kind_exits_2(self, theorem_id, lam, flag, capsys):
+        code = run_cli(["bounds", "--lambda", lam, "--n", "5", "--rho", "1.5",
+                        "--theorem", theorem_id, *flag])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"error: {flag[0]} does not apply to theorem {theorem_id}\n"
+
+    def test_m_rho_defaults_to_one(self, capsys):
+        run_cli(["bounds", "--lambda", "0.5", "--n", "10", "--rho", "2", "--theorem", "T42"])
+        default = capsys.readouterr().out
+        run_cli(["bounds", "--lambda", "0.5", "--n", "10", "--rho", "2", "--m-rho", "1",
+                 "--theorem", "T42"])
+        assert capsys.readouterr().out == default
+        assert json.loads(default)["parameters"]["M_rho"] == 1.0
+
     def test_remainder_bound_with_m(self, capsys):
         code = run_cli(["bounds", "--lambda", "0.5", "--n", "10", "--rho", "1.5",
                         "--theorem", "T31ii", "--m", "3"])

@@ -91,6 +91,18 @@ class TestFunctions:
             fd = (fn.u(xs + h) - fn.u(xs - h)) / (2 * h)
             np.testing.assert_allclose(fn.du(xs), fd, rtol=1e-6, atol=1e-8)
 
+    def test_runge1_is_the_unit_rational(self):
+        # runge1 is make_rational(1.0), with the values of 1/(1+x^2) bit for bit
+        fn = ex.TEST_FUNCTIONS["runge1"]
+        x = np.array([0.0, -0.0, 0.3, -0.7, 1.0, 2.5, 1e200, 1e-300])
+        z = np.array([0j, complex(0.0, -0.0), 0.3 + 0.2j, -0.7 + 1.9j, 1e-300j, 1e200j])
+        for pts in (x, z):
+            with np.errstate(all="ignore"):
+                assert fn.u(pts).tobytes() == (1 / (1 + pts * pts)).tobytes()
+                assert fn.du(pts).tobytes() == (-2 * pts / (1 + pts * pts) ** 2).tobytes()
+        assert fn.poles == ((1j, (-0.5j,)), (-1j, (0.5j,)))
+        assert fn.rho_sup == ex.make_rational(1.0).rho_sup
+
     def test_custom_rational(self):
         fn = ex.resolve_function("custom-rational", pole_imag=0.5)
         assert fn.u(0.0) == pytest.approx(4.0)
@@ -212,6 +224,22 @@ class TestCertify:
                 want = ex.ExperimentRecord(lam, n, family, err, "float64", bd.total,
                                            rho_star, flags)
                 assert got[kind] == want, (lam, family, n, kind)
+
+    def test_each_bound_minimised_once_per_row(self, monkeypatch):
+        # quad reuses the interpolation minimum, scaled by h_0
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2])
+            return minimize_bound_on_grid(*args)
+
+        monkeypatch.setattr(ex, "minimize_bound_on_grid", counted)
+        fn = ex.TEST_FUNCTIONS["runge1"]
+        got = ex.certify(fn, 0.5, 12, GAUSS, ("diff", "interp", "quad"), ex.scan_function(fn))
+        assert calls == ["T42", "T41"]
+        assert got["quad"].rho_star == got["interp"].rho_star
+        assert got["quad"].bound_total == quad_bound(
+            0.5, minimize_bound_on_grid(0.5, 12, "T41", *ex.scan_function(fn))[1]).total
 
     def test_scan_function_clips_to_rho_sup(self):
         # 2000 radii inside (1, min(1 + sqrt 2, rho_sup)), 2048 samples each

@@ -17,7 +17,7 @@ from gegenspec.nodes import (
     gauss_rule,
 )
 from gegenspec.operators import diff_matrix
-from gegenspec.poly import eval_derivative, eval_recurrence
+from gegenspec.poly import eval_recurrence, eval_with_derivative
 from gegenspec.special import total_mass
 
 LAM_GRID = (-0.3, 0.5, 1.5, 3.2)
@@ -73,7 +73,7 @@ class TestGaussNodes:
     def test_newton_residual_certificate(self, lam, n):
         ns = gauss_nodes(lam, n)
         resid = np.abs(eval_recurrence(lam, n + 1, ns.nodes))
-        slope = np.abs(eval_derivative(lam, n + 1, ns.nodes))
+        slope = np.abs(eval_with_derivative(lam, n + 1, ns.nodes)[1])
         gaps = np.diff(ns.nodes)
         spacing = np.minimum(
             np.concatenate([[gaps[0]], gaps]), np.concatenate([gaps, [gaps[-1]]])
@@ -203,7 +203,7 @@ class TestLobattoNodes:
         lam, n = 1.5, 8
         ns = gauss_lobatto_nodes(lam, n)
         resid = np.abs(eval_recurrence(lam + 1.0, n - 1, ns.nodes[1:-1]))
-        scale = np.abs(eval_derivative(lam + 1.0, n - 1, ns.nodes[1:-1]))
+        scale = np.abs(eval_with_derivative(lam + 1.0, n - 1, ns.nodes[1:-1])[1])
         assert np.all(resid <= 1e-12 * scale)
 
     @pytest.mark.parametrize("lam", LAM_GRID)
@@ -340,15 +340,16 @@ def diff_matrix_out_of_place(ns):
 
 
 def gauss_rule_two_call_polish(lam, n):
-    """gauss_rule with each Newton step from separate eval_recurrence and
-    eval_derivative calls."""
+    """gauss_rule with each Newton step from separate eval_recurrence calls
+    for C_{n+1} and C_{n+1}' = 2 lam C_n of the family lam + 1."""
     count = n + 1
     if count == 1:
         return np.array([0.0]), np.array([total_mass(lam)])
     x, vecs = eigh_tridiagonal(np.zeros(count), _jacobi_offdiag(lam, count))
     w = total_mass(lam) * vecs[0] ** 2
     for _ in range(2):
-        x = x - eval_recurrence(lam, n + 1, x) / eval_derivative(lam, n + 1, x)
+        dc = 2.0 * lam * eval_recurrence(lam + 1.0, n, x)
+        x = x - eval_recurrence(lam, n + 1, x) / dc
     return 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
 
 

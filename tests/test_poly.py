@@ -5,7 +5,6 @@ import pytest
 
 from gegenspec.nodes import gauss_nodes
 from gegenspec.poly import (
-    eval_derivative,
     eval_recurrence,
     eval_with_derivative,
     calibrated_sup_scale,
@@ -103,20 +102,25 @@ class TestRecurrence:
                 assert lhs <= cap * h_norm(lam, n) * (1 + 1e-12)
 
 
+def derivative(lam, n, x):
+    """C_n' at x, the second value of eval_with_derivative."""
+    return eval_with_derivative(lam, n, x)[1]
+
+
 class TestDerivative:
     def test_legendre_one(self):
-        assert eval_derivative(0.5, 1, 0.9) == pytest.approx(1.0, rel=1e-15)
+        assert derivative(0.5, 1, 0.9) == pytest.approx(1.0, rel=1e-15)
 
     def test_even_poly_odd_derivative(self):
-        assert eval_derivative(1.5, 2, 0.0) == pytest.approx(0.0, abs=1e-15)
+        assert derivative(1.5, 2, 0.0) == pytest.approx(0.0, abs=1e-15)
 
     def test_legendre_three(self):
         # L_3 = (5x^3 - 3x)/2, L_3' = (15 x^2 - 3)/2
-        assert eval_derivative(0.5, 3, 0.2) == pytest.approx(-1.2, rel=1e-14)
+        assert derivative(0.5, 3, 0.2) == pytest.approx(-1.2, rel=1e-14)
 
     def test_requires_positive_degree(self):
         with pytest.raises(ValueError):
-            eval_derivative(0.5, 0, 0.3)
+            derivative(0.5, 0, 0.3)
 
     def test_finite_difference_consistency(self):
         h = 1e-6
@@ -124,7 +128,7 @@ class TestDerivative:
         for lam in (-0.3, 0.5, 1.5):
             for n in (2, 5, 12):
                 fd = (eval_recurrence(lam, n, xs + h) - eval_recurrence(lam, n, xs - h)) / (2 * h)
-                got = eval_derivative(lam, n, xs)
+                got = derivative(lam, n, xs)
                 np.testing.assert_allclose(got, fd, rtol=1e-6, atol=1e-6)
 
 
@@ -161,11 +165,12 @@ class TestInPlaceSweep:
     def test_scalar_and_shape(self):
         c, dc = eval_with_derivative(1.5, 7, 0.3)
         assert np.ndim(c) == 0 and np.ndim(dc) == 0
-        assert c == eval_recurrence(1.5, 7, 0.3) and dc == eval_derivative(1.5, 7, 0.3)
+        assert c == eval_recurrence(1.5, 7, 0.3)
+        assert dc == 2.0 * 1.5 * eval_recurrence(2.5, 6, 0.3)
         grid = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
         assert eval_recurrence(0.5, 9, grid).shape == (3, 4)
         assert np.array_equal(eval_with_derivative(0.5, 9, grid)[1],
-                              eval_derivative(0.5, 9, grid))
+                              2.0 * 0.5 * eval_recurrence(1.5, 8, grid))
 
     def test_with_derivative_needs_positive_degree(self):
         with pytest.raises(ValueError):

@@ -21,6 +21,7 @@ from gegenspec.nodes import (
     gauss_rule,
 )
 from gegenspec.operators import differentiate_at_nodes
+from gegenspec.special import total_mass
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
@@ -60,6 +61,18 @@ def test_gauss_rules_integrate_even_monomials_through_2n_plus_1(lam, n):
 def test_lobatto_rule_integrates_even_monomials_through_2n_minus_1(lam, n):
     ns = gauss_lobatto_nodes(lam, n)
     assert_even_moments(ns.nodes, ns.quad_weights, lam, n - 1)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(lam=st.floats(min_value=-0.49, max_value=12.0).filter(lambda lam: abs(lam) >= 1e-3),
+       n=st.integers(min_value=1, max_value=256),
+       family=st.sampled_from((GAUSS, GAUSS_LOBATTO)))
+def test_quadrature_weights_positive_with_total_mass(lam, n, family):
+    build = gauss_nodes if family == GAUSS else gauss_lobatto_nodes
+    w = build(lam, n).quad_weights
+    assert np.all(w > 0.0)
+    mass = total_mass(lam)
+    assert abs(float(np.sum(w)) - mass) <= 1e-12 * mass
 
 
 @st.composite

@@ -29,6 +29,10 @@ REMOVED = (
     "diff_bound_lobatto",
     "expansion_error_mp",  # operators.exact_expansion_error is the one path
     "quad_weights_interpolatory",  # gauss_lobatto_nodes integrates the Lagrange basis
+    "eval_derivative",     # the second value of eval_with_derivative
+    "_breakdown",          # a single-rho bound is the one-point grid of the scan
+    "_runge1",             # runge1 is make_rational(1.0)
+    "_runge1_d",
 )
 
 
