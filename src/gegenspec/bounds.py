@@ -25,6 +25,9 @@ __all__ = [
     "remainder_bound",
     "e_n_metrics",
     "quad_bound",
+    "rho_scan_grid",
+    "scan_sups",
+    "minimize_bound_on_grid",
     "Theorem",
     "THEOREMS",
     "lookup_theorem",

@@ -1,13 +1,15 @@
 """Experiment harness: node dumps, tightness studies, bound-versus-error runs.
 
 Measured errors escalate whenever the double path returns a value too close
-to its own rounding floor (threshold 1e-8): node-differencing noise grows
-like n^2 * eps, so beyond n ~ 45 a double measurement would sit orders of
-magnitude above the true error while the certified bound keeps shrinking.
-Interpolation and differentiation errors escalate to Hermite's formula in
-double precision (operators.hermite_*_error), which has no such floor;
-quadrature errors escalate to 35-digit mpmath (highprec).  The expansion
-error needs no escalation: operators.exact_expansion_error has no floor.
+to its own rounding floor (threshold 1e-8; a quadrature error also below
+QUAD_FLOOR_MULTIPLE times the rounding floor of its weighted sums):
+node-differencing noise grows like n^2 * eps, so beyond n ~ 45 a double
+measurement would sit orders of magnitude above the true error while the
+certified bound keeps shrinking.  Interpolation and differentiation errors
+escalate to Hermite's formula in double precision (operators.hermite_*_error),
+which has no such floor; quadrature errors escalate to 35-digit mpmath
+(highprec).  The expansion error needs no escalation:
+operators.exact_expansion_error has no floor.
 
 highprec, and with it mpmath, is imported at the first quadrature
 escalation; the study functions take mpmath's exp on mpmath scalars without
@@ -72,6 +74,7 @@ __all__ = [
     "certify",
     "fit_log_slope",
     "run_nodes",
+    "fig2_n_values",
     "run_fig2",
     "run_fig3",
     "run_bounds",
@@ -97,6 +100,10 @@ RHO_SUP_UNIT_POLES = 1.0 + math.sqrt(2.0)
 RHO_COUNT = 2000
 
 MP_ESCALATE_BELOW = 1e-8
+# a float64 quad error also escalates below this many times its own rounding
+# floor, eps * sum |w_j u(x_j)| over both rules: near lam = -1/2 the mass
+# h_0 is huge and that floor lies far above MP_ESCALATE_BELOW
+QUAD_FLOOR_MULTIPLE = 64
 DOMINANCE_SLACK = 1.25
 SLOPE_TARGET = -math.log(1.0 + math.sqrt(2.0))
 SLOPE_WINDOW = (20, 60)
@@ -293,10 +300,10 @@ def _node_set(param, n, family):
     raise ConfigError(f"unknown node family {family!r}")
 
 
-def _escalate(err, exact, backend):
+def _escalate(err, exact, backend, floor=0.0):
     """(err, "float64") if the double measurement err is at least
-    MP_ESCALATE_BELOW, else (exact(), backend)."""
-    if err >= MP_ESCALATE_BELOW:
+    MP_ESCALATE_BELOW and floor, else (exact(), backend)."""
+    if err >= max(MP_ESCALATE_BELOW, floor):
         return err, "float64"
     return exact(), backend
 
@@ -332,20 +339,25 @@ def measure_quad_error(param, n, family, fn: TestFunction):
     max(4(n+1), 128) points; it agrees with gauss_rule's rule of that size to
     rounding.  The count leaves the reference within 1e-6 relative of the
     measured error by under 3x at a pole height of 0.05 (3.7e-7 at lam = 0.5,
-    Gauss n = 48, against a 3001-point rule).
+    Gauss n = 48, against a 3001-point rule).  The error escalates below
+    MP_ESCALATE_BELOW or below QUAD_FLOOR_MULTIPLE times the rounding floor
+    of the two sums.
     """
     p = as_param(param)
     ns = _node_set(p, n, family)
     ref_nodes, ref_weights = closed_form_gauss_rule(p, max(4 * (n + 1), 128))
-    ref = float(np.dot(ref_weights, fn.u(ref_nodes)))
-    err = abs(ref - float(np.dot(ns.quad_weights, fn.u(ns.nodes))))
+    ref_vals, vals = fn.u(ref_nodes), fn.u(ns.nodes)
+    ref = float(np.dot(ref_weights, ref_vals))
+    err = abs(ref - float(np.dot(ns.quad_weights, vals)))
+    floor = np.finfo(float).eps * float(
+        np.abs(ref_weights) @ np.abs(ref_vals) + np.abs(ns.quad_weights) @ np.abs(vals))
 
     def exact():
         from . import highprec
 
         return highprec.quad_error_mp(p, n, family, fn.u)
 
-    return _escalate(err, exact, "mpmath")
+    return _escalate(err, exact, "mpmath", QUAD_FLOOR_MULTIPLE * floor)
 
 
 def measure_expansion_error(param, fn: TestFunction, n) -> float:

@@ -12,6 +12,7 @@ import numpy as np
 
 __all__ = [
     "GegenbauerParam",
+    "as_param",
     "g_coeff_sequence",
     "d_coeff_sequence",
     "h_norm",

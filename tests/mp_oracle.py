@@ -11,7 +11,8 @@ It also keeps plain copies of the high-precision node and quadrature paths,
 written with mpf operators on every node: the recurrence with its
 coefficients rebuilt at every step, always five Newton steps per node, and
 the barycentric interpolant inside mp.quad.  The library's versions
-(mirrored refinement, raw libmp kernels) must agree with them bit for bit.
+(mirrored refinement, integer-mantissa kernels) must agree with them bit
+for bit.
 
 gauss_node_weight_mp checks the closed-form Gauss weights against the
 Christoffel-number formula at 50 digits; it uses nothing from the library.

@@ -173,6 +173,17 @@ class TestMeasurement:
             assert measure(0.5, 56, GAUSS, fn) == (sentinel, backend), kind
             assert len(calls) == 1, kind
 
+    @pytest.mark.parametrize("n,exact", [(16, 2.5486901289845867e-07),
+                                         (64, 5.392740385427109e-26)])
+    def test_quad_escalates_near_its_rounding_floor(self, n, exact):
+        # at lam = -0.4999999999 the mass h_0 is 1e10, so the float64 pass
+        # returns 2^-20, the rounding of its reference integral, at every n:
+        # above MP_ESCALATE_BELOW, yet far below 64 eps sum |w_j u(x_j)|
+        err, backend = ex.measure_quad_error(
+            -0.4999999999, n, GAUSS, ex.TEST_FUNCTIONS["runge1"])
+        assert backend == "mpmath"
+        assert err == pytest.approx(exact, rel=1e-6)
+
     def test_quad_measurement_legendre(self):
         fn = ex.TEST_FUNCTIONS["runge1"]
         err, backend = ex.measure_quad_error(0.5, 8, GAUSS, fn)

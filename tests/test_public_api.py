@@ -43,6 +43,19 @@ def test_module_all_names_exist(name):
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
 
 
+@pytest.mark.parametrize("name", MODULES)
+def test_public_callables_listed_in_all(name):
+    # the benchmark tracer wraps each callable defined in the module whose
+    # name has no leading underscore; __all__ names the same set
+    module = importlib.import_module(f"gegenspec.{name}")
+    public = [
+        n for n, obj in vars(module).items()
+        if not n.startswith("_") and not isinstance(obj, type) and callable(obj)
+        and getattr(obj, "__module__", None) == module.__name__
+    ]
+    assert [n for n in public if n not in module.__all__] == []
+
+
 def test_package_all_resolves():
     assert len(set(gegenspec.__all__)) == len(gegenspec.__all__)
     assert [n for n in gegenspec.__all__ if not hasattr(gegenspec, n)] == []
