@@ -4,7 +4,8 @@ The module provides the exact boundary remainder of the normalized polynomial,
 its certified upper bounds, the tightness metric used by the large-n studies,
 and the interpolation / differentiation / quadrature bounds for both node
 families.  Every bound is returned as an itemized BoundBreakdown so reports
-can show each constant next to the rate term.
+can show each constant next to the rate term.  The Lobatto bounds are
+T43a(lam) = F T41i(lam+1) and T43b(lam) = F T42(lam+1), F = 4 rho^4/(rho^2-1)^2.
 """
 
 import math
@@ -104,8 +105,11 @@ def remainder_exact(param, n: int, rho: float) -> float:
     The head is one array expression over the coefficient sequences; the
     infinite tail continues the g_k recurrence from g_n and stops once a term
     is at most _TAIL_RTOL times the accumulated sum (geometric decay; a sum
-    that underflows to 0 stops at once).  A rho too close to 1 for the tail
-    to stop within `steps` terms is a ValueError before it runs.
+    that underflows to 0 stops at once).  The tail runs in blocks of
+    doubling length, each a running product of the g_k ratios and of q and
+    a running sum, so every term and partial sum is the float a term-by-term
+    loop gives.  A rho too close to 1 for the tail to stop within `steps`
+    terms is a ValueError before it runs.
     """
     lam = as_param(param).lam
     if n < 0:
@@ -122,16 +126,19 @@ def remainder_exact(param, n: int, rho: float) -> float:
     if _tail_outlasts(lam, n, q, total, first, steps):
         raise ValueError(f"rho={rho} is too close to 1: the remainder tail needs more "
                          f"than {steps} terms to converge")
-    while True:
-        k += 1
-        g *= (k - 1.0 + lam) / k
-        qk *= q
-        term = abs(g) * qk
-        total += term
-        if term <= _TAIL_RTOL * total:
-            return total
-        if k > n + steps:
-            raise RuntimeError("tail failed to converge")
+    size = 64
+    while k <= n + steps:
+        ks = np.arange(k + 1.0, k + size + 1.0)
+        gs = np.cumprod(np.concatenate([[g], (ks - 1.0 + lam) / ks]))[1:]
+        qks = np.cumprod(np.concatenate([[qk], np.full(size, q)]))[1:]
+        terms = np.abs(gs) * qks
+        totals = np.cumsum(np.concatenate([[total], terms]))[1:]
+        stop = np.flatnonzero(terms <= _TAIL_RTOL * totals)
+        if stop.size:
+            return float(totals[stop[0]])
+        g, qk, total, k = gs[-1], qks[-1], totals[-1], k + size
+        size = min(2 * size, 1 << 20)
+    raise RuntimeError("tail failed to converge")
 
 
 def _tail_outlasts(lam, n, q, head, first, steps) -> bool:
@@ -354,33 +361,17 @@ def _gauss_diff(lam, n, rho, m_rho):
     return "T42", [FLAG_C_ONE], const, _rate(lam + 2.0, n, rho)
 
 
-def _lobatto_common(lam, rho, m_rho):
-    return (
-        m_rho
-        * np.sqrt(rho * rho + rho ** -2.0)
-        * (1.0 + rho ** -2.0) ** (lam + 1.0)
-        / ((1.0 - 1.0 / rho) ** 2 * (rho - 1.0 / rho) ** 2)
-    )
-
-
-def _lobatto_interp(lam, n, rho, m_rho):
-    """Max-norm interpolation error on the Lobatto nodes: rate n^(lam+1)/rho^n."""
-    const = (
-        4.0
-        * _lobatto_common(lam, rho, m_rho)
-        * math.exp(math.lgamma(lam + 1.0) - math.lgamma(2.0 * lam + 2.0))
-    )
-    return "T43a", [FLAG_C_ONE], const, _rate(lam + 1.0, n, rho)
-
-
-def _lobatto_diff(lam, n, rho, m_rho):
-    """Max node-differencing error on the Lobatto nodes: rate n^(lam+3)/rho^n."""
-    const = (
-        8.0
-        * _lobatto_common(lam, rho, m_rho)
-        * math.exp(math.lgamma(lam + 2.0) - math.lgamma(2.0 * lam + 4.0))
-    )
-    return "T43b", [FLAG_C_ONE], const, _rate(lam + 3.0, n, rho)
+def _lobatto(gauss, theorem_id):
+    """The Lobatto form of a Gauss factor function (Theorem 4.3).  The
+    Lobatto points are +-1 plus the Gauss points of family lam+1, so the
+    bound is the lam+1 Gauss bound times the endpoint factor
+    F = rho^2 / b^2 = 4 rho^4 / (rho^2 - 1)^2, b^2 = ((rho - 1/rho)/2)^2 the
+    minimum of |1 - z^2| on the ellipse of radius rho."""
+    def factors(lam, n, rho, m_rho):
+        _, flags, const, rate = gauss(lam + 1.0, n, rho, m_rho)
+        endpoint = (2.0 * rho * rho / ((rho - 1.0) * (rho + 1.0))) ** 2
+        return theorem_id, flags, endpoint * const, rate
+    return factors
 
 
 @dataclass(frozen=True)
@@ -430,8 +421,8 @@ THEOREMS = {
         "T41ii requires -1/2 < lambda < 0",
     ),
     "T42": Theorem(_gauss_diff, "diff", GAUSS),
-    "T43a": Theorem(_lobatto_interp, "interp", GAUSS_LOBATTO),
-    "T43b": Theorem(_lobatto_diff, "diff", GAUSS_LOBATTO),
+    "T43a": Theorem(_lobatto(_gauss_interp, "T43a"), "interp", GAUSS_LOBATTO),
+    "T43b": Theorem(_lobatto(_gauss_diff, "T43b"), "diff", GAUSS_LOBATTO),
 }
 
 

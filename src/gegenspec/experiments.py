@@ -1,11 +1,12 @@
 """Experiment harness: node dumps, tightness studies, bound-versus-error runs.
 
-Measured errors escalate whenever the double path returns a value too close
-to its own rounding floor (threshold 1e-8; a quadrature error also below
-QUAD_FLOOR_MULTIPLE times the rounding floor of its weighted sums):
-node-differencing noise grows like n^2 * eps, so beyond n ~ 45 a double
-measurement would sit orders of magnitude above the true error while the
-certified bound keeps shrinking.  Interpolation and differentiation errors
+Measured errors escalate whenever the double path returns a value below
+1e-8 or below FLOOR_MULTIPLE times its own rounding floor, eps times the
+largest sum of |term| that forms one computed value (the products D_jk u(x_k)
+of a derivative, l_j(x) u(x_j) of an interpolant, w_j u(x_j) of a weighted
+sum): node-differencing noise grows like n^2 * eps, so beyond n ~ 45 a
+double measurement would sit orders of magnitude above the true error while
+the certified bound keeps shrinking.  Interpolation and differentiation errors
 escalate to Hermite's formula in double precision (operators.hermite_*_error),
 which has no such floor; quadrature errors escalate to 35-digit mpmath
 (highprec).  The expansion error needs no escalation:
@@ -39,17 +40,17 @@ from .bounds import (
 from .nodes import (
     GAUSS,
     GAUSS_LOBATTO,
+    _lagrange_matrix,
     closed_form_gauss_rule,
     gauss_lobatto_nodes,
     gauss_nodes,
 )
 from .operators import (
     GRID_SIZE,
-    differentiate_at_nodes,
+    diff_matrix,
     exact_expansion_error,
     hermite_diff_error,
     hermite_interp_error,
-    interpolate,
 )
 from .special import GegenbauerParam, as_param
 
@@ -100,10 +101,11 @@ RHO_SUP_UNIT_POLES = 1.0 + math.sqrt(2.0)
 RHO_COUNT = 2000
 
 MP_ESCALATE_BELOW = 1e-8
-# a float64 quad error also escalates below this many times its own rounding
-# floor, eps * sum |w_j u(x_j)| over both rules: near lam = -1/2 the mass
-# h_0 is huge and that floor lies far above MP_ESCALATE_BELOW
-QUAD_FLOOR_MULTIPLE = 64
+# a float64 error also escalates below this many times its own rounding
+# floor: near lam = -1/2 the quad mass h_0 is huge, and at large lam and n
+# the diff and interp sums cancel, so that floor can lie far above
+# MP_ESCALATE_BELOW
+FLOOR_MULTIPLE = 64
 DOMINANCE_SLACK = 1.25
 SLOPE_TARGET = -math.log(1.0 + math.sqrt(2.0))
 SLOPE_WINDOW = (20, 60)
@@ -118,8 +120,9 @@ class TestFunction:
 
     The callables are polymorphic: they accept numpy arrays (real or complex)
     and mpmath scalars alike.  poles lists the principal parts of u, each
-    (a, (c_1, c_2, ...)) for the terms c_k / (z - a)^k; u is analytic
-    everywhere else.
+    (a, (c_1,)) or (a, (c_1, c_2)) for the terms c_k / (z - a)^k: poles of
+    order at most 2, the residues the exact-error kernels take.  u is
+    analytic everywhere else.
     """
 
     name: str
@@ -136,14 +139,6 @@ class TestFunction:
             w = cmath.sqrt(a * a - 1)
             radii.append(max(abs(a + w), abs(a - w)))
         return min(radii, default=None)
-
-
-def _runge2(x):
-    return 1 / (1 + x * x) ** 2
-
-
-def _runge2_d(x):
-    return -4 * x / (1 + x * x) ** 3
 
 
 def _exp(x):
@@ -163,22 +158,28 @@ POLE_IMAG = 0.8
 MIN_POLE_IMAG = 1e-100
 
 
-def make_rational(pole_imag: float) -> TestFunction:
-    """1/(x^2 + s^2) with poles at +-is; admissible rho < s + sqrt(s^2+1)."""
+def make_rational(pole_imag: float, order: int = 1) -> TestFunction:
+    """1/(x^2 + s^2)^order, order 1 or 2, with poles at +-is; admissible
+    rho < s + sqrt(s^2+1)."""
+    if order not in (1, 2):
+        raise ValueError(f"make_rational takes order 1 or 2, got {order!r}")
     s2 = pole_imag * pole_imag
-    a, c = 1j * pole_imag, -0.5j / pole_imag
+    a = 1j * pole_imag
+    # the principal part at a; at -a the 1/(z + a) term flips sign
+    c = (-0.5j / pole_imag,) if order == 1 else (-0.25j / pole_imag ** 3, -0.25 / s2)
+    # not ** order: numpy takes y ** 1 of a complex array by its slow general power
+    u = (lambda x: 1 / (x * x + s2)) if order == 1 else (lambda x: 1 / (x * x + s2) ** 2)
     return TestFunction(
-        name=f"{CUSTOM_RATIONAL}(s={pole_imag:g})",
-        u=lambda x: 1 / (x * x + s2),
-        du=lambda x: -2 * x / (x * x + s2) ** 2,
-        poles=((a, (c,)), (-a, (-c,))),
+        name=f"{CUSTOM_RATIONAL}(s={pole_imag:g})" + ("^2" if order == 2 else ""),
+        u=u,
+        du=lambda x: -2 * order * x / (x * x + s2) ** (order + 1),
+        poles=((a, c), (-a, (-c[0], *c[1:]))),
     )
 
 
 TEST_FUNCTIONS = {
     "runge1": replace(make_rational(1.0), name="runge1"),
-    "runge2": TestFunction("runge2", _runge2, _runge2_d,
-                           ((1j, (-0.25j, -0.25)), (-1j, (0.25j, -0.25)))),
+    "runge2": replace(make_rational(1.0, 2), name="runge2"),
     "exp": TestFunction("exp", _exp, _exp, ()),
 }
 
@@ -300,34 +301,41 @@ def _node_set(param, n, family):
     raise ConfigError(f"unknown node family {family!r}")
 
 
-def _escalate(err, exact, backend, floor=0.0):
+def _escalate(err, abs_sum, exact, backend):
     """(err, "float64") if the double measurement err is at least
-    MP_ESCALATE_BELOW and floor, else (exact(), backend)."""
-    if err >= max(MP_ESCALATE_BELOW, floor):
+    MP_ESCALATE_BELOW and FLOOR_MULTIPLE times its rounding floor
+    eps * abs_sum, else (exact(), backend)."""
+    floor = np.finfo(float).eps * abs_sum
+    if err >= max(MP_ESCALATE_BELOW, FLOOR_MULTIPLE * floor):
         return err, "float64"
     return exact(), backend
 
 
 def measure_diff_error(param, n, family, fn: TestFunction):
     """Max node-differencing error; (value, backend), escalating to Hermite's
-    formula."""
+    formula below the floor of max_j sum_k |D_jk u(x_k)|."""
     ns = _node_set(param, n, family)
     vals = fn.u(ns.nodes)
-    err = float(np.max(np.abs(differentiate_at_nodes(ns, vals) - fn.du(ns.nodes))))
+    d = diff_matrix(ns).entries
+    err = float(np.max(np.abs(d @ vals - fn.du(ns.nodes))))
     return _escalate(
-        err, lambda: float(np.max(np.abs(hermite_diff_error(ns, fn.u, fn.poles)))),
-        "hermite",
+        err, float(np.max(np.abs(d) @ np.abs(vals))),
+        lambda: float(np.max(np.abs(hermite_diff_error(ns, fn.u, fn.poles)))), "hermite",
     )
 
 
 def measure_interp_error(param, n, family, fn: TestFunction):
     """Max interpolation error on the uniform grid; escalates to Hermite's
-    formula."""
+    formula below the floor of max_x sum_j |l_j(x) u(x_j)|, from the same
+    Lagrange basis matrix as the interpolant."""
     ns = _node_set(param, n, family)
     xs = np.linspace(-1.0, 1.0, GRID_SIZE)
-    err = float(np.max(np.abs(interpolate(ns, fn.u(ns.nodes), xs) - fn.u(xs))))
+    vals = fn.u(ns.nodes)
+    basis = _lagrange_matrix(ns.nodes, ns.bary_weights, xs)
+    err = float(np.max(np.abs(vals @ basis - fn.u(xs))))
     return _escalate(
-        err, lambda: float(np.max(np.abs(hermite_interp_error(ns, fn.u, fn.poles, xs)))),
+        err, float(np.max(np.abs(vals) @ np.abs(basis, out=basis))),
+        lambda: float(np.max(np.abs(hermite_interp_error(ns, fn.u, fn.poles, xs)))),
         "hermite",
     )
 
@@ -340,8 +348,7 @@ def measure_quad_error(param, n, family, fn: TestFunction):
     rounding.  The count leaves the reference within 1e-6 relative of the
     measured error by under 3x at a pole height of 0.05 (3.7e-7 at lam = 0.5,
     Gauss n = 48, against a 3001-point rule).  The error escalates below
-    MP_ESCALATE_BELOW or below QUAD_FLOOR_MULTIPLE times the rounding floor
-    of the two sums.
+    the floor of sum |w_j u(x_j)| over both rules.
     """
     p = as_param(param)
     ns = _node_set(p, n, family)
@@ -349,15 +356,15 @@ def measure_quad_error(param, n, family, fn: TestFunction):
     ref_vals, vals = fn.u(ref_nodes), fn.u(ns.nodes)
     ref = float(np.dot(ref_weights, ref_vals))
     err = abs(ref - float(np.dot(ns.quad_weights, vals)))
-    floor = np.finfo(float).eps * float(
-        np.abs(ref_weights) @ np.abs(ref_vals) + np.abs(ns.quad_weights) @ np.abs(vals))
+    abs_sum = float(np.abs(ref_weights) @ np.abs(ref_vals)
+                    + np.abs(ns.quad_weights) @ np.abs(vals))
 
     def exact():
         from . import highprec
 
         return highprec.quad_error_mp(p, n, family, fn.u)
 
-    return _escalate(err, exact, "mpmath", QUAD_FLOOR_MULTIPLE * floor)
+    return _escalate(err, abs_sum, exact, "mpmath")
 
 
 def measure_expansion_error(param, fn: TestFunction, n) -> float:

@@ -114,10 +114,13 @@ def _contour(u, poles, n: int, count: int):
     """(z, u(z), powers) on the circle |z| = R of Cauchy's formula for the
     exact errors: count trapezoid points, R = max(n + 1, 2 max|a|, 2) over
     the poles a (n + 1 is the saddle radius for entire u), and a ValueError
-    where u is not finite.  Callers sum their kernels as series in x / z:
-    row k of powers is z^-k for k < ceil(64 ln 2 / ln R), so for |x| <= 1
-    the series reaches 2^-64.
+    where u is not finite or a pole has order above 2, the residues both
+    kernels take.  Callers sum their kernels as series in x / z: row k of
+    powers is z^-k for k < ceil(64 ln 2 / ln R), so for |x| <= 1 the series
+    reaches 2^-64.
     """
+    if any(len(cs) > 2 for _, cs in poles):
+        raise ValueError("poles of order above 2 are not supported")
     radius = max(n + 1.0, 2.0 * max([1.0] + [abs(a) for a, _ in poles]))
     z = radius * np.exp(2j * np.pi * np.arange(count) / count)
     vals = u(z)
@@ -131,7 +134,7 @@ def exact_expansion_error(param, u, poles, n: int, x) -> np.ndarray:
     """u(x) - p(x) at the points x in [-1, 1], p the degree-n truncated
     expansion of u with the coefficients of expansion_coeffs.
 
-    poles as in hermite_interp_error, of order at most 2.  The error is the
+    poles as in hermite_interp_error.  The error is the
     integral of u(z) G(x, z) dz / (2 pi i) on _contour's circle minus the
     residues of u G at the poles, c_1 G(x, a) + c_2 dG/dz(x, a), where
         G(x, z) = 1/(z - x) - sum_j w_j K_n(x, y_j) / (z - y_j)
@@ -147,8 +150,6 @@ def exact_expansion_error(param, u, poles, n: int, x) -> np.ndarray:
     xs = np.asarray(x, dtype=float)
     if not np.all(np.abs(xs) <= 1.0):
         raise ValueError("x must lie in [-1, 1]")
-    if any(len(cs) > 2 for _, cs in poles):
-        raise ValueError("poles of order above 2 are not supported")
     c_n, c_next = recurrence_table(p, n + 1, xs)[n:]
     z, vals, powers = _contour(u, poles, n, 4 * (n + 1) + 64)
     # at the poles, then on the contour: A F_n = f_n 2^expo, dlog = F_n' / F_n
@@ -191,31 +192,26 @@ def _hermite(nodes, x, diffs, u, poles):
     Hermite's formula on _contour's circle (2(n+1) + 32 points) gives the
     divided difference as minus the residues of u(z) / (omega(z) (z - x))
     at the poles plus the contour integral.
-    The residue of a pole with principal part sum_k c_k / (z - a)^k is
-    sum_k c_k h_{k-1} / (omega(a) (a - x)), h_k the complete symmetric
-    sums of 1 / (y - a) over y in the nodes and x.  Every omega ratio is a
-    sum of logarithms of the factors x - x_j and z - x_j, so no product
-    overflows, and no step subtracts nearly equal numbers: the result keeps
-    its relative accuracy far below the rounding floor of the operators.
+    The residue of a pole with principal part c_1 / (z - a) + c_2 / (z - a)^2
+    is (c_1 + c_2 h_1) / (omega(a) (a - x)), h_1 = sum_j 1 / (x_j - a) +
+    1 / (x - a).  Every omega ratio is a sum of logarithms of the factors
+    x - x_j and z - x_j, so no product overflows, and no step subtracts
+    nearly equal numbers: the result keeps its relative accuracy far below
+    the rounding floor of the operators.
     """
+    n = len(nodes) - 1
+    z, vals, powers = _contour(u, poles, n, 2 * (n + 1) + 32)
     hit = np.any(diffs == 0.0, axis=1)            # x_p is a node: zero error
     log_n = np.sum(np.log(np.abs(np.where(diffs == 0.0, 1.0, diffs))), axis=1)
     sign = np.where(np.sum(diffs < 0.0, axis=1) % 2, -1.0, 1.0) * ~hit
 
     out = np.zeros(len(x), dtype=complex)
     for a, cs in poles:
-        to_nodes = 1.0 / (nodes - a)
         to_x = 1.0 / (x - a)
-        power_sums = [None] + [np.sum(to_nodes ** i) + to_x ** i
-                               for i in range(1, len(cs))]
-        h = [np.ones_like(to_x)]
-        for k in range(1, len(cs)):
-            h.append(sum(power_sums[i] * h[k - i] for i in range(1, k + 1)) / k)
+        part = cs[0] if len(cs) == 1 else cs[0] + cs[1] * (np.sum(1.0 / (nodes - a)) + to_x)
         ratio = sign * np.exp(log_n - np.sum(np.log(a - nodes)))
-        out += ratio * to_x * sum(c * hk for c, hk in zip(cs, h))
+        out += ratio * to_x * part
 
-    n = len(nodes) - 1
-    z, vals, powers = _contour(u, poles, n, 2 * (n + 1) + 32)
     log_w = -np.sum(np.log(z[:, None] - nodes[None, :]), axis=1)  # log(1 / omega(z))
     shift = float(np.max(log_w.real))
     moments = powers @ (vals * np.exp(log_w - shift))
@@ -227,8 +223,9 @@ def hermite_interp_error(node_set: NodeSet, u, poles, x) -> np.ndarray:
     """u(x) - p(x) at the points x in [-1, 1], p the interpolant of u on
     node_set.
 
-    poles lists u's principal parts ((a, (c_1, c_2, ...)), ...), the terms
-    c_k / (z - a)^k; u must be analytic elsewhere and accept complex arrays.
+    poles lists u's principal parts ((a, (c_1,)) or (a, (c_1, c_2)), ...),
+    the terms c_k / (z - a)^k of poles of order at most 2 (a higher order
+    is a ValueError); u must be analytic elsewhere and accept complex arrays.
     """
     xs = np.asarray(x, dtype=float)
     if not np.all(np.abs(xs) <= 1.0):

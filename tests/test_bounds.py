@@ -170,6 +170,13 @@ class TestRemainderExact:
                 remainder_exact(lam, 8, 1.0 + 1e-7)
             assert time.perf_counter() - start < 1.0
 
+    def test_long_tail_runs_in_blocks(self):
+        # about 1e8 tail terms before the stop, summed in numpy blocks to the
+        # float a term-by-term loop gives (that loop takes about 30 s)
+        start = time.perf_counter()
+        assert remainder_exact(-0.3, 8, 1.0 + 1e-7) == 2.1856864050431195
+        assert time.perf_counter() - start < 5.0
+
 
 class TestRemainderBound:
     def test_low_branch_dominates_exact(self):
@@ -311,6 +318,25 @@ class TestTheoremBounds:
             / rho ** n
         )
         assert bd.total == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("lam", [-0.3, 0.5, 1.5, 3.2])
+    @pytest.mark.parametrize("n", [20, 57])
+    @pytest.mark.parametrize("rho", [1.3, 2.0])
+    def test_lobatto_printed_formulas(self, lam, n, rho):
+        # Theorem 4.3 as printed, with M_rho = 1.7; the code takes it as the
+        # lam+1 Gauss bounds times 4 rho^4 / (rho^2 - 1)^2
+        common = (
+            1.7
+            * math.sqrt(rho ** 2 + rho ** -2)
+            * (1.0 + rho ** -2) ** (lam + 1.0)
+            / ((1.0 - 1.0 / rho) ** 2 * (rho - 1.0 / rho) ** 2)
+        )
+        t43a = (4.0 * common * math.gamma(lam + 1.0) / math.gamma(2.0 * lam + 2.0)
+                * n ** (lam + 1.0) / rho ** n)
+        t43b = (8.0 * common * math.gamma(lam + 2.0) / math.gamma(2.0 * lam + 4.0)
+                * n ** (lam + 3.0) / rho ** n)
+        assert THEOREMS["T43a"].bound(lam, n, rho, 1.7).total == pytest.approx(t43a, rel=1e-12)
+        assert THEOREMS["T43b"].bound(lam, n, rho, 1.7).total == pytest.approx(t43b, rel=1e-12)
 
     def test_lobatto_vs_gauss_rate_grows_like_n(self):
         lam, rho = 0.5, 2.0

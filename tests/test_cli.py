@@ -221,6 +221,17 @@ class TestFig3Command:
         summary = json.loads((tmp_path / "fig3.csv.summary.json").read_text())
         assert summary["dominance_ok"] is True
 
+    def test_large_lambda_rounding_escalates(self, tmp_path):
+        # at lam = 8 the float64 differencing rounding (2e-8 to 5e-7) lies
+        # within 64 eps of its sums; Hermite's errors sit far below the bounds
+        out = tmp_path / "fig3.csv"
+        code = run_cli(["fig3", "--lambda", "8", "--n", "48", "--n", "56", "--n", "64",
+                        "--out", str(out)])
+        assert code == 0
+        rows = out.read_text().strip().splitlines()[1:]
+        assert len(rows) == 6
+        assert all(row.endswith("measured with hermite") for row in rows)
+
     def test_dominance_violation_exits_3(self, monkeypatch, capsys):
         def fake_run(config):
             ok = ExperimentRecord(0.5, 4, "gauss", 1e-3, "float64", 1e-2, 2.0, ())

@@ -103,6 +103,23 @@ class TestFunctions:
         assert fn.poles == ((1j, (-0.5j,)), (-1j, (0.5j,)))
         assert fn.rho_sup == ex.make_rational(1.0).rho_sup
 
+    def test_runge2_is_the_squared_unit_rational(self):
+        # runge2 is make_rational(1.0, 2), with the values of 1/(1+x^2)^2 bit for bit
+        fn = ex.TEST_FUNCTIONS["runge2"]
+        x = np.array([0.0, -0.0, 0.3, -0.7, 1.0, 2.5, 1e200, 1e-300])
+        z = np.array([0j, complex(0.0, -0.0), 0.3 + 0.2j, -0.7 + 1.9j, 1e-300j, 1e200j])
+        for pts in (x, z):
+            with np.errstate(all="ignore"):
+                assert fn.u(pts).tobytes() == (1 / (1 + pts * pts) ** 2).tobytes()
+                assert fn.du(pts).tobytes() == (-4 * pts / (1 + pts * pts) ** 3).tobytes()
+        assert fn.poles == ((1j, (-0.25j, -0.25)), (-1j, (0.25j, -0.25)))
+        assert fn.rho_sup == ex.TEST_FUNCTIONS["runge1"].rho_sup
+
+    @pytest.mark.parametrize("order", [0, 3, 1.5])
+    def test_rational_order_is_one_or_two(self, order):
+        with pytest.raises(ValueError, match="order 1 or 2"):
+            ex.make_rational(0.5, order)
+
     def test_custom_rational(self):
         fn = ex.resolve_function("custom-rational", pole_imag=0.5)
         assert fn.u(0.0) == pytest.approx(4.0)
@@ -182,6 +199,19 @@ class TestMeasurement:
         err, backend = ex.measure_quad_error(
             -0.4999999999, n, GAUSS, ex.TEST_FUNCTIONS["runge1"])
         assert backend == "mpmath"
+        assert err == pytest.approx(exact, rel=1e-6)
+
+    @pytest.mark.parametrize("kind,family,exact", [
+        ("diff", GAUSS_LOBATTO, 1.3125575718996327e-17),
+        ("interp", GAUSS, 9.396506247625748e-19),
+    ])
+    def test_diff_and_interp_escalate_near_their_rounding_floor(self, kind, family, exact):
+        # at lam = 8, n = 64 the float64 pass returns its rounding (about
+        # 1e-7), above MP_ESCALATE_BELOW yet within 64 eps of its largest
+        # sum of |term|
+        err, backend = getattr(ex, f"measure_{kind}_error")(
+            8.0, 64, family, ex.TEST_FUNCTIONS["runge1"])
+        assert backend == "hermite"
         assert err == pytest.approx(exact, rel=1e-6)
 
     def test_quad_measurement_legendre(self):

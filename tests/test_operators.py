@@ -237,3 +237,14 @@ class TestExactExpansionError:
 def test_u_not_finite_on_contour(error):
     with pytest.raises(ValueError, match=r"u is not finite on the contour \|z\| = 5$"):
         error(lambda z: np.full_like(z, np.inf))
+
+
+# 1/(z - 2i)^3: every exact kernel takes residues of poles of order 1 and 2 only
+@pytest.mark.parametrize("error", [
+    lambda u, poles: exact_expansion_error(0.5, u, poles, 4, GRID_SUBSET),
+    lambda u, poles: hermite_interp_error(gauss_nodes(0.5, 4), u, poles, GRID_SUBSET),
+    lambda u, poles: hermite_diff_error(gauss_lobatto_nodes(1.5, 4), u, poles),
+], ids=["expansion", "hermite-interp", "hermite-diff"])
+def test_pole_of_order_three_rejected(error):
+    with pytest.raises(ValueError, match="order above 2"):
+        error(lambda z: 1.0 / (z - 2j) ** 3, ((2j, (0.0, 0.0, 1.0)),))

@@ -113,14 +113,16 @@ def test_diff_matrix_exact_on_chebyshev_series(lam, n, seed):
         assert err <= 1e-9 * max(np.max(np.abs(want)), 1.0)
 
 
-# The certified diff, interp and quad bounds of 1/(x^2 + s^2) dominate the
-# measured errors for random pole heights.  n starts at 3: at n <= 2 the
-# bounds fail dominance for lam >= 1.5.  60 draws keep the test near 5 s.
+# The certified diff, interp and quad bounds of 1/(x^2 + s^2)^order dominate
+# the measured errors for random pole heights and orders 1 and 2.  n starts
+# at 3: at n <= 2 the bounds fail dominance for lam >= 1.5.  60 draws keep
+# the test near 5 s.
 @settings(SETTINGS, max_examples=60)
 @given(s=st.floats(min_value=0.05, max_value=0.9), lam=st.floats(min_value=0.5, max_value=3.2),
-       family=st.sampled_from((GAUSS, GAUSS_LOBATTO)), n=st.integers(min_value=3, max_value=64))
-def test_certified_bounds_dominate_custom_rational(s, lam, family, n):
-    fn = make_rational(s)
+       family=st.sampled_from((GAUSS, GAUSS_LOBATTO)), n=st.integers(min_value=3, max_value=64),
+       order=st.sampled_from((1, 2)))
+def test_certified_bounds_dominate_custom_rational(s, lam, family, n, order):
+    fn = make_rational(s, order)
     records = certify(fn, lam, n, family, KINDS, scan_function(fn))
     over = {kind: (r.measured_error, r.bound_total) for kind, r in records.items()
             if r.exceeds_bound}

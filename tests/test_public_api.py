@@ -33,6 +33,11 @@ REMOVED = (
     "_breakdown",          # a single-rho bound is the one-point grid of the scan
     "_runge1",             # runge1 is make_rational(1.0)
     "_runge1_d",
+    "_runge2",             # runge2 is make_rational(1.0, 2)
+    "_runge2_d",
+    "_lobatto_common",     # the Lobatto bounds are the lam+1 Gauss bounds times F
+    "_lobatto_interp",
+    "_lobatto_diff",
 )
 
 
