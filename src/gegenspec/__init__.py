@@ -11,13 +11,13 @@ from .special import (
     d_coeff_sequence,
     h_norm,
     total_mass,
+    value_at_one,
 )
 from .poly import (
     eval_recurrence,
     recurrence_table,
     eval_with_derivative,
     normalized_on_ellipse,
-    value_at_one,
 )
 from .nodes import (
     GAUSS,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .nodes import GAUSS, GAUSS_LOBATTO
 from .poly import calibrated_sup_scale, normalized_on_ellipse
-from .special import as_param, d_coeff_sequence, g_coeff_sequence, h_norm
+from .special import as_param, d_coeff_sequence, g_coeff_sequence, total_mass
 
 __all__ = [
     "BoundBreakdown",
@@ -277,9 +277,14 @@ def e_n_metrics(param, ns, rho: float) -> list[float]:
     lam = p.lam
     if lam == 1.0:
         raise ValueError("normalization degenerates at lambda = 1 (A = 0)")
+    try:
+        a_norm = abs(1.0 - lam) * _head_factor(lam, rho)
+    except OverflowError:
+        a_norm = math.inf
+    if a_norm == math.inf:
+        raise ValueError(f"the normalization A overflows at lambda={lam}, rho={rho}")
     w, _ = ellipse_points(rho)
     limit = (1.0 - w ** -2.0) ** (-lam)
-    a_norm = abs(1.0 - lam) * _head_factor(lam, rho)
     return [float(np.max(np.abs(limit - normalized_on_ellipse(p, n, w))) / a_norm)
             for n in ns]
 
@@ -445,7 +450,7 @@ def quad_bound(param, interp_breakdown: BoundBreakdown) -> BoundBreakdown:
     if theorem is None or theorem.kind != "interp":
         raise ValueError("quad_bound needs an interpolation breakdown, "
                          f"got {interp_breakdown.theorem_id}")
-    h0 = h_norm(p, 0)
+    h0 = total_mass(p)
     params = dict(interp_breakdown.parameters)
     params["h0"] = h0
     return BoundBreakdown(

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .poly import eval_with_derivative
-from .special import as_param, h_norm, total_mass
+from .special import as_param, total_mass, value_at_one
 
 __all__ = [
     "GAUSS",
@@ -121,7 +121,7 @@ def closed_form_gauss_rule(param, n: int) -> tuple[np.ndarray, np.ndarray]:
 
     The Jacobi matrix's eigenvalues x give the starts; one recurrence sweep
     gives C = C_{n+1}(x) and C' and the node x - C/C'.  The weights are
-    w_j = K / ((1 - x^2) C'^2) with K = 2 (n+lam)/(n+1) h_n (n+2 lam),
+    w_j = K / ((1 - x^2) C'^2) with K = 2 lam h_0 C_{n+1}(1),
     evaluated at the start and carried to the node by exp(4 lam x D/(1-x^2)),
     D = C/C': at a zero of C_{n+1} the Gegenbauer ODE gives (1 - x^2) C'^2
     the log-derivative 4 lam x/(1 - x^2).  For lam > 0 the weights are scaled
@@ -150,7 +150,7 @@ def closed_form_gauss_rule(param, n: int) -> tuple[np.ndarray, np.ndarray]:
     if lam > 0:
         w *= mass / np.sum(w)
     else:
-        w *= 2.0 * (n + lam) / count * h_norm(p, n) * (n + 2.0 * lam) / scale**2
+        w *= 2.0 * lam * mass * value_at_one(p, count) / scale**2
         w[0] = w[-1] = 0.5 * (mass - np.sum(w[1:-1]))
     x = x - delta
     return 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])

@@ -9,7 +9,8 @@ Two routes for C_n are provided and cross-checked by the test suite:
   through it together and is the one source of C_n',
 * the w-series C_n(z) = sum_k g_k g_{n-k} w^{n-2k}, valid off the unit disk
   with z = (w + 1/w)/2, in the normalized form C_n(z)/(g_n w^n) built
-  entirely from O(1) coefficient ratios, stable for arbitrarily large n.
+  entirely from the O(1) coefficient ratios of special, stable for
+  arbitrarily large n.
 
 Q_l solves the same recurrence for l >= 1 as its minimal solution, so
 second_kind_sweep takes it from one backward (Miller) sweep of the ratios
@@ -21,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .special import as_param, h_norm
+from .special import _g_ratios, _gamma_ratio, as_param, g_coeff_sequence, total_mass
 
 __all__ = [
     "calibrated_sup_scale",
@@ -29,7 +30,6 @@ __all__ = [
     "recurrence_table",
     "eval_with_derivative",
     "normalized_on_ellipse",
-    "value_at_one",
     "second_kind_sweep",
     "second_kind_table",
 ]
@@ -135,11 +135,10 @@ def eval_with_derivative(param, n: int, x):
 def normalized_on_ellipse(param, n: int, w):
     """Normalized value C_n(z)/(g_n w^n) = sum_k (g_{n-k}/g_n) g_k w^{-2k}.
 
-    Only coefficient ratios enter (g_{n-k}/g_n via a backward multiplicative
-    recurrence), so the evaluation is overflow-free for any n.  For large n
-    the geometrically decaying powers let the sum be cut off once a rigorous
-    tail bound falls below 1e-17 of the accumulated magnitude; with |w| close
-    to 1 the full sum is taken.
+    Only coefficient ratios enter, so nothing overflows before a coefficient
+    leaves the double range (ValueError; lam = 300 from n = 1129 at |w| = 1.2).
+    For large n the sum is cut off once a tail bound falls below 1e-17 of the
+    accumulated magnitude; with |w| close to 1 the full sum is taken.
     """
     p = as_param(param)
     lam = p.lam
@@ -152,47 +151,31 @@ def normalized_on_ellipse(param, n: int, w):
         raise ValueError("normalized_on_ellipse requires |w| > 1")
     qmag = float(np.max(mags)) ** -2.0
 
-    # Rigorous cap on any coefficient |(g_{n-k}/g_n) g_k|: for lam < 1 all
+    # Cap on any coefficient |(g_{n-k}/g_n) g_k|, in logs: for lam < 1 all
     # |g_k| <= 1 and the ratio is at most 1/|g_n|; for lam > 1 the ratio is
-    # at most 1 and g_k <= g_n.
-    log_abs_gn = (math.lgamma(n + lam) - math.lgamma(n + 1.0) - math.lgamma(abs(lam))
-                  if n >= 1 else 0.0)
-    coeff_cap = math.exp(abs(log_abs_gn))
-
-    coeffs = []
-    ratio = 1.0      # g_{n-k}/g_n
-    g = 1.0          # g_k
-    mag_k = 1.0      # qmag^k
-    acc_abs = 0.0
-    for k in range(n + 1):
-        c = ratio * g
-        coeffs.append(c)
-        acc_abs += abs(c) * mag_k
-        if k < n:
-            tail_cap = coeff_cap * mag_k * qmag / (1.0 - qmag)
-            if tail_cap < 1e-17 * max(acc_abs, 1.0):
-                break
-            ratio *= (n - k) / (n - k - 1.0 + lam)
-            g *= (k + lam) / (k + 1.0)
-            mag_k *= qmag
+    # at most 1 and g_k <= g_n (Gamma(|lam|) for |Gamma(lam)| leaves it up to
+    # 1.93x low at lam < 0, far below one rounding of the sum).  The sum stops
+    # at the first k where the cap times the tail qmag^(k+1)/(1-qmag) is below
+    # 1e-17 max(sum_j<=k |c_j| qmag^j, 1); the cap alone gets there within
+    # kmax terms, two spare for rounding.
+    b, r = _gamma_ratio(n + 1.0, lam - 1.0) if n else (1.0, 0.0)
+    log_cap = abs((lam - 1.0) * math.log(b) + r - math.lgamma(abs(lam))) if n else 0.0
+    log_tail = math.log(qmag / (1.0 - qmag))
+    kmax = min(n, max(0, math.ceil((math.log(1e-17) - log_cap - log_tail)
+                                   / math.log(qmag)) + 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = _g_ratios(lam, n, kmax) * g_coeff_sequence(lam, kmax)
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError(f"the coefficients g_(n-k) g_k/g_n overflow at lambda={lam}, n={n}")
+    mag = np.cumprod(np.concatenate([[1.0], np.full(kmax, qmag)]))    # qmag^k
+    acc_abs = np.cumsum(np.abs(coeffs) * mag)
+    room = np.exp(np.log(1e-17 * np.maximum(acc_abs, 1.0)) - log_cap)
+    cut = np.flatnonzero(mag * qmag / (1.0 - qmag) < room)
     q = pts ** -2.0
     total = np.zeros_like(q)
-    for c in reversed(coeffs):
+    for c in reversed(coeffs[:cut[0] + 1 if cut.size else None].tolist()):
         total = total * q + c
     return total[0] if scalar else total
-
-
-def value_at_one(param, n: int) -> float:
-    """Endpoint value C_n(1) = Gamma(n+2 lam)/(n! Gamma(2 lam)), via log space."""
-    lam = as_param(param).lam
-    if n < 0:
-        raise ValueError("n must be a nonnegative integer")
-    if n == 0:
-        return 1.0
-    sign = -1.0 if lam < 0 else 1.0
-    return sign * math.exp(
-        math.lgamma(n + 2.0 * lam) - math.lgamma(n + 1.0) - math.lgamma(2.0 * lam)
-    )
 
 
 def second_kind_sweep(param, start: int, z):
@@ -214,7 +197,7 @@ def second_kind_sweep(param, start: int, z):
         dr = r * (l * dr - a) / den
         yield l - 1, r, dr
     den = 2.0 * lam * z - r
-    f0 = 2.0 * lam * h_norm(lam, 0) / den
+    f0 = 2.0 * lam * total_mass(lam) / den
     yield 0, f0, f0 * (dr - 2.0 * lam) / den
 
 
@@ -250,7 +233,7 @@ def calibrated_sup_scale(lam: float) -> float:
     """Calibrated constant D = sup_n max_x |C_n(x)| / n^(lam-1) for -1/2 < lam < 0.
 
     It gives the sup-norm bound max |C_n| <= D n^(lam-1) on [-1, 1] (for
-    lam > 0 the max is the endpoint value C_n(1), see value_at_one).  The
+    lam > 0 the max is the endpoint value C_n(1), special.value_at_one).  The
     sup is taken over n = 1..200 on the GRID_SIZE grid; computed once per
     lam and cached (write-once, read-many).  Results that depend on it are
     flagged downstream.

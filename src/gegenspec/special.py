@@ -1,8 +1,10 @@
-"""The family parameter, its coefficient sequences and weighted norms.
+"""The family parameter and its constants, each from one formula: g_k, the
+ratios g_{n-k}/g_n and the defects d_{n,k} = 1 - g_{n-k}/g_n as running
+products of their step ratios, the endpoint value C_n(1) from one Gamma-ratio
+routine, h_0 = total_mass and h_n = h_0 lam/(n+lam) C_n(1).
 
-Everything here is a pure function of its arguments; ratios of Gamma values are
-assembled in log space (or by multiplicative recurrences) so that nothing
-overflows for large degree or index.
+Everything here is a pure function of its arguments, and nothing overflows
+for large degree or index.
 """
 
 import math
@@ -17,6 +19,7 @@ __all__ = [
     "d_coeff_sequence",
     "h_norm",
     "total_mass",
+    "value_at_one",
 ]
 
 
@@ -54,62 +57,85 @@ def as_param(param) -> GegenbauerParam:
 def g_coeff_sequence(param, kmax: int) -> np.ndarray:
     """Array [g_0, ..., g_kmax] of g_k = Gamma(k+lam) / (k! Gamma(lam)).
 
-    Computed by the multiplicative recurrence g_{k+1} = g_k (k+lam)/(k+1)
-    from g_0 = 1, never via direct Gamma evaluation, so large k cannot
-    overflow.  For lam < 0 the single sign flip at k = 1 emerges from the
-    recurrence.
+    The running product of the ratios g_{k+1}/g_k = (k+lam)/(k+1) from
+    g_0 = 1, never a direct Gamma evaluation, so large k cannot overflow.
+    For lam < 0 the single sign flip at k = 1 emerges from the product.
     """
     lam = as_param(param).lam
     if kmax < 0:
         raise ValueError("kmax must be a nonnegative integer")
-    g = np.empty(kmax + 1)
-    g[0] = 1.0
-    for j in range(kmax):
-        g[j + 1] = g[j] * (j + lam) / (j + 1)
-    return g
+    ks = np.arange(0.0, kmax)
+    return np.cumprod(np.concatenate([[1.0], (ks + lam) / (ks + 1.0)]))
+
+
+def _g_ratios(lam: float, n: int, kmax: int) -> np.ndarray:
+    """Array [g_n/g_n, g_{n-1}/g_n, ..., g_{n-kmax}/g_n], the running product
+    of g_{n-k}/g_{n-k+1} = (n-k+1)/(n-k+lam); every entry stays O(poly(n))
+    for any lam > -1/2."""
+    ks = np.arange(1.0, kmax + 1.0)
+    return np.cumprod(np.concatenate([[1.0], (n - ks + 1.0) / (n - ks + lam)]))
 
 
 def d_coeff_sequence(param, n: int) -> np.ndarray:
-    """Array [d_{n,1}, ..., d_{n,n}] of the defects d_{n,k} = 1 - g_{n-k}/g_n.
-
-    The ratio g_{n-k}/g_n is accumulated in one multiplicative sweep; every
-    intermediate stays O(poly(n)) for any lam > -1/2.
-    """
+    """Array [d_{n,1}, ..., d_{n,n}] of the defects d_{n,k} = 1 - g_{n-k}/g_n."""
     lam = as_param(param).lam
     if n < 1:
         raise ValueError("n must be >= 1")
-    d = np.empty(n)
-    r = 1.0
-    for k in range(1, n + 1):
-        r *= (n - k + 1) / (n - k + lam)
-        d[k - 1] = 1.0 - r
-    return d
+    return 1.0 - _g_ratios(lam, n, n)[1:]
 
 
-def h_norm(param, n: int) -> float:
-    """Squared weighted norm of the degree-n polynomial of the family.
+# B_{2j} / (2j (2j - 1)), j = 1..8, the coefficients of x^(1-2j) in the
+# Stirling series of ln Gamma(x)
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360,
+             1 / 156, -3617 / 122400)
 
-    h_n = 2^(1-2 lam) pi Gamma(n+2 lam) / (Gamma(lam)^2 n! (n+lam)),
-    assembled in log space (the value is positive for every admissible lam).
-    """
+
+def _gamma_ratio(x: float, d: float) -> tuple[float, float]:
+    """(b, r) with Gamma(x+d)/Gamma(x) = b^d e^r, for x > 0 and x + d > 0:
+    Gamma(z+1) = z Gamma(z) carries x and x + d to 10 or more (b is the
+    carried x), then r differences the Stirling series term by term, the
+    leading ones as (x+d-1/2) log1p(d/x) - d (Hale & Townsend, SIAM J. Sci.
+    Comput. 35, 2013).  b^d as a power is one rounding, where d ln b and
+    lgamma differences lose about ln(x) digits."""
+    r = 0.0
+    while min(x, x + d) < 10.0:
+        r -= math.log1p(d / x)
+        x += 1.0
+    y = x + d
+    r += (y - 0.5) * math.log1p(d / x) - d
+    for j, c in enumerate(_STIRLING):
+        r += c * (y ** (-2 * j - 1) - x ** (-2 * j - 1))
+    return x, r
+
+
+def value_at_one(param, n: int) -> float:
+    """Endpoint value C_n(1) = Gamma(n+2 lam)/(n! Gamma(2 lam))."""
     lam = as_param(param).lam
     if n < 0:
         raise ValueError("n must be a nonnegative integer")
-    # math.lgamma returns log|Gamma|; the sign factors of Gamma(n+2 lam) and
-    # 1/(n+lam) cancel for every admissible (lam, n), so h_n = exp(log|h_n|).
-    logh = (
-        (1.0 - 2.0 * lam) * math.log(2.0)
-        + math.log(math.pi)
-        + math.lgamma(n + 2.0 * lam)
-        - 2.0 * math.lgamma(lam)
-        - math.lgamma(n + 1.0)
-        - math.log(abs(n + lam))
-    )
-    return math.exp(logh)
+    if n == 0:
+        return 1.0
+    d = 2.0 * lam - 1.0
+    b, r = _gamma_ratio(n + 1.0, d)
+    r -= math.lgamma(2.0 * lam)
+    try:
+        c = b**d * math.exp(r)
+    except OverflowError:       # b^d alone overflows, C_n(1) may not
+        c = math.exp(d * math.log(b) + r)
+    return math.copysign(c, lam)
+
+
+def h_norm(param, n: int) -> float:
+    """Squared weighted norm h_n = h_0 lam/(n+lam) C_n(1) of the degree-n
+    polynomial, h_0 = total_mass (bitwise at n = 0)."""
+    p = as_param(param)
+    c_n = value_at_one(p, n)
+    return total_mass(p) * (p.lam / (n + p.lam)) * c_n
 
 
 def total_mass(param) -> float:
-    """Integral of the weight (1-x^2)^(lam-1/2) over [-1, 1]."""
+    """h_0 = sqrt(pi) Gamma(lam+1/2)/Gamma(lam+1), the integral of the weight
+    (1-x^2)^(lam-1/2) over [-1, 1]."""
     lam = as_param(param).lam
     return math.exp(
         0.5 * math.log(math.pi) + math.lgamma(lam + 0.5) - math.lgamma(lam + 1.0)

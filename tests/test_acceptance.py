@@ -37,8 +37,8 @@ from gegenspec.experiments import (
 )
 from gegenspec.nodes import GAUSS, GAUSS_LOBATTO, gauss_lobatto_nodes, gauss_nodes
 from gegenspec.operators import diff_matrix
-from gegenspec.poly import eval_recurrence, normalized_on_ellipse, value_at_one
-from gegenspec.special import g_coeff_sequence, total_mass
+from gegenspec.poly import eval_recurrence, normalized_on_ellipse
+from gegenspec.special import g_coeff_sequence, total_mass, value_at_one
 
 LAM_GRID = (-0.3, 0.5, 1.5, 3.2)
 STUDY_LAMBDAS = (0.5, 1.5)

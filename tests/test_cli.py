@@ -207,6 +207,25 @@ class TestFig2Command:
         assert code == 2
         assert "degenerate" in capsys.readouterr().err
 
+    def test_large_lambda_coefficient_cap(self, tmp_path, capsys):
+        # the cap exp|log g_n| alone overflows here; E_1000 against a 40-digit sum
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({"fig2_grid": [[140.0, 2.0]]}))
+        assert run_cli(["fig2", "--config", str(cfgp), "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert rows[0]["n"] == 1000
+        assert rows[0]["E_n"] == pytest.approx(7.1696725342029e-3, rel=1e-13)
+
+    @pytest.mark.parametrize("lam, rho, message", [
+        (400.0, 1.05, "normalization A overflows at lambda=400.0, rho=1.05"),
+        (300.0, 1.2, "overflow at lambda=300.0, n=1129"),
+    ])
+    def test_overflow_exits_2(self, lam, rho, message, tmp_path, capsys):
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({"fig2_grid": [[lam, rho]]}))
+        assert run_cli(["fig2", "--config", str(cfgp)]) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestFig3Command:
     def test_small_run_csv_and_summary(self, tmp_path):

@@ -12,9 +12,8 @@ from gegenspec.poly import (
     recurrence_table,
     second_kind_sweep,
     second_kind_table,
-    value_at_one,
 )
-from gegenspec.special import g_coeff_sequence, h_norm
+from gegenspec.special import g_coeff_sequence, h_norm, value_at_one
 from gegenspec.bounds import remainder_exact
 
 LAM_GRID = (-0.3, 0.5, 1.0, 1.5, 3.2)
@@ -236,6 +235,45 @@ class TestNormalizedOnEllipse:
                     direct = eval_recurrence(lam, n, z) / (g_n * w ** n)
                     got = normalized_on_ellipse(lam, n, w)
                     np.testing.assert_allclose(got, direct, rtol=1e-11)
+
+    @staticmethod
+    def term_by_term(lam, n, w):
+        """The series summed coefficient by coefficient, cut where the cap
+        exp|log g_n| (lgamma differences, Gamma(|lam|) for |Gamma(lam)|)
+        times the tail qmag^(k+1)/(1-qmag) falls below 1e-17 of the sum."""
+        w = np.asarray(w, dtype=complex)
+        qmag = float(np.max(np.abs(w))) ** -2.0
+        log_abs_gn = (math.lgamma(n + lam) - math.lgamma(n + 1.0) - math.lgamma(abs(lam))
+                      if n >= 1 else 0.0)
+        coeff_cap = math.exp(abs(log_abs_gn))
+        coeffs, ratio, g, mag_k, acc_abs = [], 1.0, 1.0, 1.0, 0.0
+        for k in range(n + 1):
+            c = ratio * g
+            coeffs.append(c)
+            acc_abs += abs(c) * mag_k
+            if k < n:
+                if coeff_cap * mag_k * qmag / (1.0 - qmag) < 1e-17 * max(acc_abs, 1.0):
+                    break
+                ratio *= (n - k) / (n - k - 1.0 + lam)
+                g *= (k + lam) / (k + 1.0)
+                mag_k *= qmag
+        q = w ** -2.0
+        total = np.zeros_like(q)
+        for c in reversed(coeffs):
+            total = total * q + c
+        return total
+
+    @pytest.mark.parametrize("lam", [-0.49, -0.3, 1e-8, 0.123, 0.5, 1.0, 3.2, 20.0, 60.0])
+    def test_bitwise_the_term_by_term_sum(self, lam):
+        w = np.exp(2j * np.pi * np.arange(33) / 33)
+        for n in (0, 1, 2, 5, 17, 100, 1000, 4000):
+            for rho in (1.0001, 1.2, 2.0, 10.0):
+                got = normalized_on_ellipse(lam, n, rho * w)
+                assert np.array_equal(got, self.term_by_term(lam, n, rho * w))
+
+    def test_coefficient_overflow_raises(self):
+        with pytest.raises(ValueError, match="overflow at lambda=300.0, n=2000"):
+            normalized_on_ellipse(300.0, 2000, 1.2 + 0j)
 
     def test_limit_identity_trend(self):
         # discrepancy to (1-w^-2)^-lam shrinks monotonically as n doubles

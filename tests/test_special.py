@@ -9,6 +9,7 @@ from gegenspec.special import (
     g_coeff_sequence,
     h_norm,
     total_mass,
+    value_at_one,
 )
 
 LAM_GRID = (-0.3, 0.5, 1.5, 3.2)
@@ -102,6 +103,16 @@ class TestDCoeff:
             with pytest.raises(ValueError):
                 d_coeff_sequence(0.5, n)
 
+    @pytest.mark.parametrize("lam", [-0.49, -0.3, 1e-8, 0.123, 0.5, 1.0, 3.2, 60.0])
+    def test_bitwise_the_term_by_term_loop(self, lam):
+        for n in (1, 2, 3, 17, 100, 4000):
+            d = np.empty(n)
+            r = 1.0
+            for k in range(1, n + 1):
+                r *= (n - k + 1) / (n - k + lam)
+                d[k - 1] = 1.0 - r
+            assert np.array_equal(d_coeff_sequence(lam, n), d)
+
 
 class TestHNorm:
     def test_constant_legendre(self):
@@ -121,6 +132,23 @@ class TestHNorm:
         for n in (0, 1, 5, 50, 300):
             v = h_norm(lam, n)
             assert v > 0.0 and math.isfinite(v)
+
+    def test_h0_is_total_mass_bitwise(self):
+        for lam in np.linspace(-0.49, 12.0, 511):
+            assert h_norm(lam, 0) == total_mass(lam)
+
+    @pytest.mark.parametrize("lam", [-0.49, -0.3, 0.123, 0.5, 1.5, 3.2, 7.7])
+    def test_h_n_and_endpoint_value_against_mpmath(self, lam):
+        import mpmath as mp
+
+        with mp.workdps(40):
+            lm = mp.mpf(lam)
+            h0 = mp.sqrt(mp.pi) * mp.gamma(lm + 0.5) / mp.gamma(lm + 1)
+            for n in [*range(30), 64, 100, 600, 1000, 4000, 20000]:
+                c = mp.gamma(n + 2 * lm) / (mp.factorial(n) * mp.gamma(2 * lm))
+                h = h0 * lm / (n + lm) * c
+                assert abs(value_at_one(lam, n) - c) <= 2e-14 * abs(c)
+                assert abs(h_norm(lam, n) - h) <= 2e-14 * h
 
     def test_total_mass_is_h0_ratio(self):
         # weight integral equals sqrt(pi) Gamma(lam+1/2) / Gamma(lam+1)
