@@ -28,6 +28,12 @@ gauss_rule returns the bare (nodes, weights) rule, so no barycentric weights
 are built that nobody reads.  Lobatto weights integrate the Lagrange basis
 (_lagrange_matrix) with an internal Gauss rule.
 
+Node sets keep their nodes finite and strictly ascending, so both node
+kernels place points among them by binary search (np.searchsorted) instead
+of scanning a difference matrix: _lagrange_matrix finds the one node each
+target can hit, and barycentric_weights reads each sign from the rank of its
+node.
+
 scipy.linalg (eigh_tridiagonal) is imported inside the two routes, so it
 loads at the first eigensolve and not with the package.
 """
@@ -58,7 +64,7 @@ GAUSS_LOBATTO = "gauss-lobatto"
 class NodeSet:
     """Immutable bundle of nodes, quadrature weights and barycentric weights.
 
-    There are n+1 nodes, strictly ascending and symmetric about 0.
+    There are n+1 nodes, finite, strictly ascending and symmetric about 0.
     """
 
     family: str
@@ -75,6 +81,8 @@ class NodeSet:
             object.__setattr__(self, name, arr)
         if len(self.nodes) != self.n + 1:
             raise ValueError("node count must be n + 1")
+        if not np.all(np.isfinite(self.nodes)):
+            raise ValueError("nodes must be finite")
         if np.any(np.diff(self.nodes) <= 0):
             raise ValueError("nodes must be strictly ascending")
 
@@ -192,36 +200,44 @@ def _lagrange_matrix(x, b, y) -> np.ndarray:
     """Matrix L with L[j, q] = value of the j-th Lagrange basis at y[q].
 
     Second barycentric form: column q is b_j / (y_q - x_j) over its sum.  A
-    target that hits a node exactly gets that node's unit column.  This is the
-    one float64 evaluator of the basis; operators.interpolate and the Lobatto
-    weights both use it.
+    target that hits a node exactly gets that node's unit column.  The nodes
+    x must be strictly ascending, as every NodeSet and the Lobatto build keep
+    them: one binary search then finds the only node a target can hit.  This
+    is the one float64 evaluator of the basis; operators.interpolate and the
+    Lobatto weights both use it.
     """
+    pos = np.minimum(np.searchsorted(x, y), len(x) - 1)
+    hit_cols = np.flatnonzero(x[pos] == y)
+    hit_rows = pos[hit_cols]
     diff = y[None, :] - x[:, None]
-    hit_rows, hit_cols = np.nonzero(diff == 0.0)
     diff[hit_rows, hit_cols] = 1.0
     L = np.divide(b[:, None], diff, out=diff)
     L /= np.sum(L, axis=0, keepdims=True)
-    if hit_rows.size:
-        L[:, hit_cols] = 0.0
-        L[hit_rows, hit_cols] = 1.0
+    L[:, hit_cols] = 0.0
+    L[hit_rows, hit_cols] = 1.0
     return L
 
 
 def barycentric_weights(nodes) -> np.ndarray:
     """Weights 1 / prod_{k != j} (x_j - x_k), rescaled so max |b_j| = 1.
 
-    The product is accumulated in log space, so clustered spectral nodes do
+    The nodes may come in any order but must be finite and distinct.  The
+    sign of b_j is (-1)^(number of nodes above x_j), read by binary search in
+    a sorted copy, whose neighbours also give the distinctness check.  The
+    magnitude is accumulated in log space, so clustered spectral nodes do
     not underflow even for large node counts.
     """
     x = np.asarray(nodes, dtype=float)
     m = len(x)
-    if m == 1:
-        return np.array([1.0])
-    diff = x[:, None] - x[None, :]
-    signs = np.where((np.sum(diff < 0, axis=1) % 2) == 0, 1.0, -1.0)
-    absd = np.abs(diff, out=diff)
-    np.fill_diagonal(absd, 1.0)
-    if np.any(absd == 0.0):
+    if not np.all(np.isfinite(x)):
+        raise ValueError("nodes must be finite")
+    s = np.sort(x)
+    if np.any(s[1:] == s[:-1]):
         raise ValueError("nodes must be distinct")
+    above = m - np.searchsorted(s, x, side="right")
+    signs = np.where(above % 2 == 0, 1.0, -1.0)
+    absd = x[:, None] - x[None, :]
+    np.abs(absd, out=absd)
+    np.fill_diagonal(absd, 1.0)
     logb = -np.sum(np.log(absd, out=absd), axis=1)
     return signs * np.exp(logb - np.max(logb))

@@ -201,8 +201,9 @@ def _hermite(nodes, x, diffs, u, poles):
     """
     n = len(nodes) - 1
     z, vals, powers = _contour(u, poles, n, 2 * (n + 1) + 32)
-    hit = np.any(diffs == 0.0, axis=1)            # x_p is a node: zero error
-    log_n = np.sum(np.log(np.abs(np.where(diffs == 0.0, 1.0, diffs))), axis=1)
+    zero = diffs == 0.0
+    hit = np.any(zero, axis=1)                    # x_p is a node: zero error
+    log_n = np.sum(np.log(np.abs(np.where(zero, 1.0, diffs))), axis=1)
     sign = np.where(np.sum(diffs < 0.0, axis=1) % 2, -1.0, 1.0) * ~hit
 
     out = np.zeros(len(x), dtype=complex)

@@ -283,6 +283,11 @@ class TestBarycentricWeights:
         with pytest.raises(ValueError):
             barycentric_weights(np.array([0.2, 0.2]))
 
+    @pytest.mark.parametrize("x", ([0.0, np.nan], [-np.inf, 0.0, 1.0]))
+    def test_non_finite_rejected(self, x):
+        with pytest.raises(ValueError, match="finite"):
+            barycentric_weights(np.array(x))
+
 
 class TestNodeSetValidation:
     def test_descending_rejected(self):
@@ -290,6 +295,12 @@ class TestNodeSetValidation:
 
         with pytest.raises(ValueError):
             NodeSet(GAUSS, None, 1, np.array([1.0, -1.0]), np.ones(2), np.ones(2))
+
+    def test_non_finite_rejected(self):
+        from gegenspec.nodes import NodeSet
+
+        with pytest.raises(ValueError, match="finite"):
+            NodeSet(GAUSS, None, 1, np.array([np.nan, np.nan]), np.ones(2), np.ones(2))
 
     def test_immutable_arrays(self):
         ns = gauss_nodes(0.5, 3)
@@ -380,7 +391,17 @@ class TestBitIdentity:
             assert np.array_equal(b, barycentric_weights_out_of_place(x))
             assert np.array_equal(diff_matrix(ns).entries, diff_matrix_out_of_place(ns))
             y, _ = gauss_rule(lam, n + 1)
-            # the second target set hits two nodes exactly
-            for targets in (y, np.concatenate([y, x[:1], x[-1:]])):
+            # the second target set hits two nodes exactly; the third lies
+            # outside [x_0, x_n], copies every 7th interior node and puts
+            # -0.0 against the centre node 0.0 of the odd sets
+            if len(x) % 2:
+                assert x[n // 2] == 0.0
+            outside = np.concatenate([[1.5], x[1:-1:7], [-0.0, -1.5]])
+            for targets in (y, np.concatenate([y, x[:1], x[-1:]]), outside):
                 assert np.array_equal(_lagrange_matrix(x, b, targets),
                                       lagrange_matrix_out_of_place(x, b, targets))
+            shuffled = x[np.random.default_rng(n).permutation(n + 1)]
+            assert np.array_equal(barycentric_weights(shuffled),
+                                  barycentric_weights_out_of_place(shuffled))
+            with pytest.raises(ValueError, match="distinct"):
+                barycentric_weights(np.concatenate([shuffled, shuffled[:1]]))
