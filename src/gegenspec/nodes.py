@@ -212,7 +212,9 @@ def _lagrange_matrix(x, b, y) -> np.ndarray:
     diff = y[None, :] - x[:, None]
     diff[hit_rows, hit_cols] = 1.0
     L = np.divide(b[:, None], diff, out=diff)
-    L /= np.sum(L, axis=0, keepdims=True)
+    total = np.sum(L, axis=0, keepdims=True)
+    total[0, hit_cols] = 1.0        # hit columns are set below; their sum may be 0
+    L /= total
     L[:, hit_cols] = 0.0
     L[hit_rows, hit_cols] = 1.0
     return L

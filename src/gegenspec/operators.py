@@ -110,6 +110,36 @@ def truncated_expansion_error(param, u, n: int) -> float:
     return float(np.max(np.abs(coeffs @ table - u(xs))))
 
 
+# Node-polynomial products are rescaled after every _BLOCK factors.  A factor
+# x - x_j with x, x_j in [-1, 1] is at most 2 in modulus, so a block takes a
+# mantissa in [1/2, 1) to at most 2^32; no 32 node gaps multiply to below
+# about 1e-160 for n <= 10^4 (measured for lam from -0.49 to 7.7), far above
+# the least normal double 2.2e-308; only a point x within about 1e-140 of a
+# node, but not on it, can take a block product below it, where its error
+# is itself near or below that floor.  A contour factor (z - x_j) / R lies
+# within 1 +- 1/R in modulus.
+_BLOCK = 32
+
+
+def _rescale(m, expo):
+    """(m 2^-k, expo + k), k the binary exponent of |m|: the same value
+    m 2^expo with |m| in [1/2, 1), or m = 0 and expo unchanged.  k stops at
+    that of the least normal double, so a subnormal m scales by a finite
+    2^1021 and stays below 1/2."""
+    k = np.maximum(np.frexp(np.abs(m))[1], -1021)
+    return m * np.ldexp(1.0, -k), expo + k
+
+
+def _product(factors):
+    """The product over axis 0 of factors as (m, expo), product = m 2^expo,
+    rescaled after every _BLOCK rows.  A zero factor gives m = 0 exactly,
+    and the result has the relative error of the plain product."""
+    m, expo = np.ones(factors.shape[1:], dtype=factors.dtype), 0
+    for start in range(0, len(factors), _BLOCK):
+        m, expo = _rescale(m * np.prod(factors[start:start + _BLOCK], axis=0), expo)
+    return m, expo
+
+
 def _contour(u, poles, n: int, count: int):
     """(z, u(z), powers) on the circle |z| = R of Cauchy's formula for the
     exact errors: count trapezoid points, R = max(n + 1, 2 max|a|, 2) over
@@ -163,9 +193,7 @@ def exact_expansion_error(param, u, poles, n: int, x) -> np.ndarray:
         elif l <= n:
             f_n *= r
             dlog += dr / r
-            e = np.frexp(np.abs(f_n))[1]
-            f_n *= np.ldexp(1.0, -e)
-            expo += e
+            f_n, expo = _rescale(f_n, expo)
 
     out = np.zeros(len(xs))
     for i, (a, cs) in enumerate(poles):
@@ -185,39 +213,46 @@ def exact_expansion_error(param, u, poles, n: int, x) -> np.ndarray:
     return out + np.ldexp(contour.real / len(z), shift)
 
 
-def _hermite(nodes, x, diffs, u, poles):
-    """N_p u[x_0, ..., x_n, x_p] at each point x_p, N_p the product of row p
-    of diffs (omega(x_p), or omega'(x_p) at a node).
+def _hermite(nodes, x, omega, u, poles):
+    """N_p u[x_0, ..., x_n, x_p] at each point x_p, N_p = m_p 2^e_p from
+    omega = (m, e) of _product: omega(x_p), or omega'(x_p) at a node.
 
-    Hermite's formula on _contour's circle (2(n+1) + 32 points) gives the
-    divided difference as minus the residues of u(z) / (omega(z) (z - x))
-    at the poles plus the contour integral.
+    Hermite's formula on _contour's circle |z| = R gives the divided
+    difference as minus the residues of u(z) / (omega(z) (z - x)) at the
+    poles plus the contour integral.  The poles, the nodes and x lie within
+    R / 2, so a trapezoid rule of max(2(n+1), 64) + 32 points aliases at
+    about 2^-96 (2(n+1) + 32 points left 5e-10 relative at n = 1, R = 2);
+    an entire u needs about 2(n+1).
     The residue of a pole with principal part c_1 / (z - a) + c_2 / (z - a)^2
     is (c_1 + c_2 h_1) / (omega(a) (a - x)), h_1 = sum_j 1 / (x_j - a) +
-    1 / (x - a).  Every omega ratio is a sum of logarithms of the factors
-    x - x_j and z - x_j, so no product overflows, and no step subtracts
-    nearly equal numbers: the result keeps its relative accuracy far below
-    the rounding floor of the operators.
+    1 / (x - a).  omega(z) / R^(n+1) is the rescaled product of the factors
+    (z - x_j) / R, as omega(x_p) is that of x_p - x_j: neither overflows nor
+    underflows, a point on a node gives an exact 0, and each keeps the
+    relative error of n + 1 roundings.  Only log omega(a) is a sum of
+    logarithms.  No step subtracts nearly equal numbers: the result keeps
+    its relative accuracy far below the rounding floor of the operators.
     """
     n = len(nodes) - 1
-    z, vals, powers = _contour(u, poles, n, 2 * (n + 1) + 32)
-    zero = diffs == 0.0
-    hit = np.any(zero, axis=1)                    # x_p is a node: zero error
-    log_n = np.sum(np.log(np.abs(np.where(zero, 1.0, diffs))), axis=1)
-    sign = np.where(np.sum(diffs < 0.0, axis=1) % 2, -1.0, 1.0) * ~hit
+    z, vals, powers = _contour(u, poles, n, max(2 * (n + 1), 64) + 32)
+    m, e = omega
+    # log(omega(x_p) / m_p); -inf on a node, where the error is an exact 0
+    log_n = np.where(m == 0.0, -np.inf, e * math.log(2.0))
 
-    out = np.zeros(len(x), dtype=complex)
+    out = np.zeros(len(x))
     for a, cs in poles:
+        a = complex(a)
         to_x = 1.0 / (x - a)
         part = cs[0] if len(cs) == 1 else cs[0] + cs[1] * (np.sum(1.0 / (nodes - a)) + to_x)
-        ratio = sign * np.exp(log_n - np.sum(np.log(a - nodes)))
-        out += ratio * to_x * part
+        log_a = np.sum(np.log(a - nodes))           # log omega(a)
+        ratio = m * np.exp(log_n - log_a.real) * np.exp(-1j * log_a.imag)
+        out += (ratio * to_x * part).real
 
-    log_w = -np.sum(np.log(z[:, None] - nodes[None, :]), axis=1)  # log(1 / omega(z))
-    shift = float(np.max(log_w.real))
-    moments = powers @ (vals * np.exp(log_w - shift))
-    out += sign * np.exp(log_n + shift) * np.polyval(moments[::-1] / len(z), x)
-    return out.real
+    radius = z[0].real                           # z[0] = R
+    m_w, e_w = _product((z[None, :] - nodes[:, None]) / radius)
+    shift = -(n + 1) * math.log(radius)           # log(1 / R^(n+1))
+    moments = powers @ (vals / (m_w * np.ldexp(1.0, e_w)))
+    out += m * np.exp(log_n + shift) * np.polyval(moments[::-1].real / len(z), x)
+    return out
 
 
 def hermite_interp_error(node_set: NodeSet, u, poles, x) -> np.ndarray:
@@ -231,7 +266,8 @@ def hermite_interp_error(node_set: NodeSet, u, poles, x) -> np.ndarray:
     xs = np.asarray(x, dtype=float)
     if not np.all(np.abs(xs) <= 1.0):
         raise ValueError("x must lie in [-1, 1]")
-    return _hermite(node_set.nodes, xs, xs[:, None] - node_set.nodes[None, :], u, poles)
+    nodes = node_set.nodes
+    return _hermite(nodes, xs, _product(xs[None, :] - nodes[:, None]), u, poles)
 
 
 def hermite_diff_error(node_set: NodeSet, u, poles) -> np.ndarray:
@@ -240,6 +276,6 @@ def hermite_diff_error(node_set: NodeSet, u, poles) -> np.ndarray:
     poles as in hermite_interp_error.
     """
     xs = node_set.nodes
-    diffs = xs[:, None] - xs[None, :]
+    diffs = xs[None, :] - xs[:, None]
     np.fill_diagonal(diffs, 1.0)
-    return _hermite(xs, xs, diffs, u, poles)
+    return _hermite(xs, xs, _product(diffs), u, poles)

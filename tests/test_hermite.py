@@ -7,7 +7,13 @@ import pytest
 import mp_oracle
 from gegenspec import experiments as ex
 from gegenspec.nodes import GAUSS, GAUSS_LOBATTO, gauss_lobatto_nodes, gauss_nodes
-from gegenspec.operators import GRID_SIZE, hermite_diff_error, hermite_interp_error
+from gegenspec.operators import (
+    GRID_SIZE,
+    differentiate_at_nodes,
+    hermite_diff_error,
+    hermite_interp_error,
+    interpolate,
+)
 
 BUILD = {GAUSS: gauss_nodes, GAUSS_LOBATTO: gauss_lobatto_nodes}
 GRID = np.linspace(-1.0, 1.0, GRID_SIZE)
@@ -27,6 +33,11 @@ CELLS = [
     pytest.param(name, lam, family, n, id=f"{name}-{lam}-{family}-{n}")
     for name in FUNCTIONS for lam in (0.5, 1.5)
     for family in (GAUSS, GAUSS_LOBATTO) for n in (24, 64)
+] + [
+    # 32 and 33 factors in omega: one full block of the rescaled product,
+    # then one factor spilled into a second; the double pole takes c_2
+    pytest.param("runge2", 1.5, family, n, id=f"runge2-1.5-{family}-{n}")
+    for family in (GAUSS, GAUSS_LOBATTO) for n in (31, 32)
 ]
 
 
@@ -77,20 +88,27 @@ def test_exp_matches_80_digit_oracle(family):
     _assert_diff_matches(fn, 0.5, family, 40, dps=80)
 
 
-@pytest.mark.parametrize("lam,family", [(0.5, GAUSS), (1.5, GAUSS_LOBATTO)])
-def test_large_n_rational_matches_double(lam, family):
+@pytest.mark.parametrize("lam,family,n,rtol", [
+    pytest.param(0.5, GAUSS, 1000, 1e-8, id="0.5-gauss"),
+    pytest.param(1.5, GAUSS_LOBATTO, 1000, 1e-8, id="1.5-gauss-lobatto"),
+    # omega is about 2^-2000, below the double range unless rescaled; the
+    # double measurement's own rounding floor is 2.2e-7 of its interp error
+    # here, and the two differ by 8.9e-7
+    pytest.param(0.5, GAUSS, 2000, 1e-5, id="0.5-gauss-2000"),
+])
+def test_large_n_rational_matches_double(lam, family, n, rtol):
     # poles at +-0.01i: at n = 1000 the error is far above the double noise,
     # while omega(x) / omega(a) as a plain product of factors would overflow
     fn = ex.make_rational(0.01)
-    ns = BUILD[family](lam, 1000)
-    interp_dbl, backend = ex.measure_interp_error(lam, 1000, family, fn)
+    ns = BUILD[family](lam, n)
+    interp_dbl, backend = ex.measure_interp_error(lam, n, family, fn)
     assert backend == "float64"
     got = np.max(np.abs(hermite_interp_error(ns, fn.u, fn.poles, GRID)))
-    assert got == pytest.approx(interp_dbl, rel=1e-8)
-    diff_dbl, backend = ex.measure_diff_error(lam, 1000, family, fn)
+    assert got == pytest.approx(interp_dbl, rel=rtol)
+    diff_dbl, backend = ex.measure_diff_error(lam, n, family, fn)
     assert backend == "float64"
     got = np.max(np.abs(hermite_diff_error(ns, fn.u, fn.poles)))
-    assert got == pytest.approx(diff_dbl, rel=1e-8)
+    assert got == pytest.approx(diff_dbl, rel=rtol)
 
 
 def test_large_n_exp_is_finite():
@@ -108,3 +126,26 @@ def test_zero_at_nodes():
     ns = gauss_lobatto_nodes(1.5, 10)
     values = hermite_interp_error(ns, fn.u, fn.poles, ns.nodes)
     assert np.array_equal(values, np.zeros(11))
+    # next to the centre node 0.0 the error is linear in x; at 1e-307 the
+    # factor x - 0.0 takes its block of omega to a subnormal, and the error
+    # (about 7e-325) rounds to 0
+    near = np.array([1e-100, 1e-200, 1e-280, 1e-307])
+    values = hermite_interp_error(ns, fn.u, fn.poles, near)
+    assert np.allclose(values[:3] / near[:3], values[0] / near[0], rtol=1e-10, atol=0.0)
+    assert values[3] == 0.0
+
+
+@pytest.mark.parametrize("pole", [-1.5, -1.5 + 0j], ids=["float", "complex"])
+def test_real_pole_matches_double(pole):
+    # a real pole left of every node: log(a - x_j) needs a complex a
+    def u(z):
+        return 1.0 / (z + 1.5)
+
+    ns = gauss_nodes(0.5, 12)
+    poles = ((pole, (1.0,)),)
+    want = u(POINTS) - interpolate(ns, u(ns.nodes), POINTS)
+    got = hermite_interp_error(ns, u, poles, POINTS)
+    assert np.max(np.abs(got - want)) <= RTOL * np.max(np.abs(want))
+    want = -u(ns.nodes) ** 2 - differentiate_at_nodes(ns, u(ns.nodes))
+    got = hermite_diff_error(ns, u, poles)
+    assert np.max(np.abs(got - want)) <= RTOL * np.max(np.abs(want))

@@ -308,6 +308,15 @@ class TestNodeSetValidation:
             ns.nodes[0] = 0.0
 
 
+def test_hit_column_with_zero_placeholder_sum():
+    # lam = 1, n = 1: nodes -+1/2, where the placeholder 1 of a hit column
+    # cancels the other term exactly; the column is the unit one, unwarned
+    ns = gauss_nodes(1.0, 1)
+    L = _lagrange_matrix(ns.nodes, ns.bary_weights, np.array([-0.5, 0.0, 0.5]))
+    assert np.array_equal(L[:, [0, 2]], np.eye(2))
+    assert np.array_equal(L[:, 1], [0.5, 0.5])
+
+
 # The O(n^2) kernels write into their difference matrix in place.  These are
 # the out-of-place versions they replaced; the same operations in the same
 # order must give the same bits.

@@ -11,16 +11,23 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gegenspec.bounds import remainder_bound, remainder_exact
-from gegenspec.experiments import KINDS, certify, make_rational, scan_function
+from gegenspec.experiments import FLOOR_MULTIPLE, KINDS, certify, make_rational, scan_function
 from gegenspec.nodes import (
     GAUSS,
     GAUSS_LOBATTO,
+    _lagrange_matrix,
     closed_form_gauss_rule,
     gauss_lobatto_nodes,
     gauss_nodes,
     gauss_rule,
 )
-from gegenspec.operators import differentiate_at_nodes
+from gegenspec.operators import (
+    GRID_SIZE,
+    diff_matrix,
+    differentiate_at_nodes,
+    hermite_diff_error,
+    hermite_interp_error,
+)
 from gegenspec.special import total_mass
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -127,3 +134,30 @@ def test_certified_bounds_dominate_custom_rational(s, lam, family, n, order):
     over = {kind: (r.measured_error, r.bound_total) for kind, r in records.items()
             if r.exceeds_bound}
     assert not over
+
+
+# Hermite's exact errors against the double operators they measure, as the
+# first pass of measure_interp_error and measure_diff_error computes them:
+# the two differ by at most FLOOR_MULTIPLE times that pass's rounding floor
+# (eps times the largest sum of |term| behind one value) plus 1e-10 of the
+# error.
+@SETTINGS
+@given(lam=st.floats(min_value=-0.4, max_value=3.2).filter(lambda lam: abs(lam) >= 1e-3),
+       n=st.integers(min_value=1, max_value=96), s=st.floats(min_value=0.05, max_value=2.0),
+       family=st.sampled_from((GAUSS, GAUSS_LOBATTO)), order=st.sampled_from((1, 2)))
+def test_hermite_errors_match_double_within_its_floor(lam, n, s, family, order):
+    fn = make_rational(s, order)
+    ns = (gauss_nodes if family == GAUSS else gauss_lobatto_nodes)(lam, n)
+    eps = np.finfo(float).eps
+    vals = fn.u(ns.nodes)
+    xs = np.linspace(-1.0, 1.0, GRID_SIZE)
+    basis = _lagrange_matrix(ns.nodes, ns.bary_weights, xs)
+    double = np.max(np.abs(vals @ basis - fn.u(xs)))
+    floor = eps * np.max(np.abs(vals) @ np.abs(basis))
+    exact = np.max(np.abs(hermite_interp_error(ns, fn.u, fn.poles, xs)))
+    assert abs(exact - double) <= FLOOR_MULTIPLE * floor + 1e-10 * exact
+    d = diff_matrix(ns).entries
+    double = np.max(np.abs(d @ vals - fn.du(ns.nodes)))
+    floor = eps * np.max(np.abs(d) @ np.abs(vals))
+    exact = np.max(np.abs(hermite_diff_error(ns, fn.u, fn.poles)))
+    assert abs(exact - double) <= FLOOR_MULTIPLE * floor + 1e-10 * exact
