@@ -489,6 +489,14 @@ def scan_sups(u, rhos, samples: int = ELLIPSE_SAMPLES):
     real arithmetic, and u is called on blocks of several ellipses at once,
     raveled to 1-D.
 
+    A u with a `peak_angle` attribute theta* in [0, pi] declares that on
+    every ellipse |u| is largest at theta* and falls as theta moves away
+    from it on [0, pi]; scan_sups does not check this.  u is then evaluated
+    only at the one or two sampled angles next to theta*, j =
+    floor(theta* samples / 2 pi) and ceil(...) within 0..samples//2, which
+    hold the sample max.  Those points are the same floats as on the full
+    path, so the sups are too.  A theta* outside [0, pi] is a ValueError.
+
     Returns (sups, any_skipped).  The sups depend on u and rho only, so
     callers scanning many degrees should compute them once.  Raises
     PoleOnContourError when every rho has a non-finite sample; a pole merely
@@ -500,7 +508,14 @@ def scan_sups(u, rhos, samples: int = ELLIPSE_SAMPLES):
         raise ValueError("rho must be > 1")
     if samples < 4:
         raise ValueError("samples must be >= 4")
-    theta = 2.0 * np.pi * np.arange(samples // 2 + 1) / samples
+    first, last = 0, samples // 2
+    peak = getattr(u, "peak_angle", None)
+    if peak is not None:
+        if not 0.0 <= peak <= math.pi:
+            raise ValueError(f"peak_angle must lie in [0, pi], got {peak}")
+        at = peak * samples / (2.0 * math.pi)
+        first, last = min(math.floor(at), last), min(math.ceil(at), last)
+    theta = 2.0 * np.pi * np.arange(first, last + 1) / samples
     cos, sin = np.cos(theta), np.sin(theta)
     rows = max(1, _SCAN_POINTS // len(theta))
     sups = np.empty(len(rhos))

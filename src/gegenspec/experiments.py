@@ -122,7 +122,11 @@ class TestFunction:
     and mpmath scalars alike.  poles lists the principal parts of u, each
     (a, (c_1,)) or (a, (c_1, c_2)) for the terms c_k / (z - a)^k: poles of
     order at most 2, the residues the exact-error kernels take.  u is
-    analytic everywhere else.
+    analytic everywhere else.  Every built-in u has a peak_angle attribute
+    (bounds.scan_sups): the angle in [0, pi] at which |u| is largest on
+    every Bernstein ellipse.  Declaring it asserts that |u| falls as the
+    angle moves away from it, which scan_sups does not check; it lives on u
+    because scan_sups takes only the callable.
     """
 
     name: str
@@ -149,6 +153,10 @@ def _exp(x):
     return np.exp(x)
 
 
+# |e^z| = e^(a cos theta) on the ellipse: largest at the right vertex
+_exp.peak_angle = 0.0
+
+
 # the function id of make_rational, whose pole height comes from the config
 CUSTOM_RATIONAL = "custom-rational"
 # its pole height s when the config sets none
@@ -160,7 +168,15 @@ MIN_POLE_IMAG = 1e-100
 
 def make_rational(pole_imag: float, order: int = 1) -> TestFunction:
     """1/(x^2 + s^2)^order, order 1 or 2, with poles at +-is; admissible
-    rho < s + sqrt(s^2+1)."""
+    rho < s + sqrt(s^2+1).
+
+    u.peak_angle = pi/2: on every ellipse z = a cos theta + i b sin theta,
+    |u| is largest at z = ib and falls as theta moves away from pi/2.  With
+    t = cos 2 theta, |z^2 + s^2|^2 = (c + A t)^2 + B^2 (1 - t^2), where
+    c = 1/2 + s^2, A = (rho^2 + rho^-2)/4 and B = (rho^2 - rho^-2)/4.  Since
+    A^2 - B^2 = 1/4, its t-derivative is 2 c A + t/2 >= 0 on [-1, 1], so
+    |z^2 + s^2| is least at t = -1, theta = pi/2.
+    """
     if order not in (1, 2):
         raise ValueError(f"make_rational takes order 1 or 2, got {order!r}")
     s2 = pole_imag * pole_imag
@@ -169,6 +185,7 @@ def make_rational(pole_imag: float, order: int = 1) -> TestFunction:
     c = (-0.5j / pole_imag,) if order == 1 else (-0.25j / pole_imag ** 3, -0.25 / s2)
     # not ** order: numpy takes y ** 1 of a complex array by its slow general power
     u = (lambda x: 1 / (x * x + s2)) if order == 1 else (lambda x: 1 / (x * x + s2) ** 2)
+    u.peak_angle = math.pi / 2
     return TestFunction(
         name=f"{CUSTOM_RATIONAL}(s={pole_imag:g})" + ("^2" if order == 2 else ""),
         u=u,

@@ -130,13 +130,23 @@ def _rescale(m, expo):
     return m * np.ldexp(1.0, -k), expo + k
 
 
-def _product(factors):
-    """The product over axis 0 of factors as (m, expo), product = m 2^expo,
-    rescaled after every _BLOCK rows.  A zero factor gives m = 0 exactly,
-    and the result has the relative error of the plain product."""
-    m, expo = np.ones(factors.shape[1:], dtype=factors.dtype), 0
-    for start in range(0, len(factors), _BLOCK):
-        m, expo = _rescale(m * np.prod(factors[start:start + _BLOCK], axis=0), expo)
+def _product(x, nodes, radius=None, at_nodes=False):
+    """The product over the nodes x_j of the factors x - x_j, or (x - x_j) / R
+    with radius R, at each point x as (m, expo), product = m 2^expo.  The
+    factors of _BLOCK nodes are formed, multiplied in and rescaled one block
+    at a time, so at most _BLOCK rows of factors exist at once.  With
+    at_nodes (x the nodes themselves) the factor of x_j at itself is 1, which
+    gives omega'(x_j).  A zero factor gives m = 0 exactly, and the result has
+    the relative error of the plain product."""
+    m, expo = np.ones(x.shape, dtype=np.result_type(x, nodes)), 0
+    for start in range(0, len(nodes), _BLOCK):
+        block = x[None, :] - nodes[start:start + _BLOCK, None]
+        if at_nodes:
+            rows = np.arange(len(block))
+            block[rows, start + rows] = 1.0
+        if radius is not None:
+            block /= radius
+        m, expo = _rescale(m * np.prod(block, axis=0), expo)
     return m, expo
 
 
@@ -248,7 +258,7 @@ def _hermite(nodes, x, omega, u, poles):
         out += (ratio * to_x * part).real
 
     radius = z[0].real                           # z[0] = R
-    m_w, e_w = _product((z[None, :] - nodes[:, None]) / radius)
+    m_w, e_w = _product(z, nodes, radius)
     shift = -(n + 1) * math.log(radius)           # log(1 / R^(n+1))
     moments = powers @ (vals / (m_w * np.ldexp(1.0, e_w)))
     out += m * np.exp(log_n + shift) * np.polyval(moments[::-1].real / len(z), x)
@@ -267,7 +277,7 @@ def hermite_interp_error(node_set: NodeSet, u, poles, x) -> np.ndarray:
     if not np.all(np.abs(xs) <= 1.0):
         raise ValueError("x must lie in [-1, 1]")
     nodes = node_set.nodes
-    return _hermite(nodes, xs, _product(xs[None, :] - nodes[:, None]), u, poles)
+    return _hermite(nodes, xs, _product(xs, nodes), u, poles)
 
 
 def hermite_diff_error(node_set: NodeSet, u, poles) -> np.ndarray:
@@ -276,6 +286,4 @@ def hermite_diff_error(node_set: NodeSet, u, poles) -> np.ndarray:
     poles as in hermite_interp_error.
     """
     xs = node_set.nodes
-    diffs = xs[None, :] - xs[:, None]
-    np.fill_diagonal(diffs, 1.0)
-    return _hermite(xs, xs, _product(diffs), u, poles)
+    return _hermite(xs, xs, _product(xs, xs, at_nodes=True), u, poles)

@@ -29,6 +29,8 @@ RHO_SUP = 1.0 + math.sqrt(2.0)
 SHIFTED = lambda z: 1.0 / ((z - 0.3) ** 2 + 0.04)
 # |u| peaks at theta = pi, the last angle the half-ellipse scan evaluates
 EXP_LEFT = lambda z: np.exp(-3.0 * z)
+# pole heights s of make_rational whose declared peak is checked bit for bit
+PEAK_POLE_HEIGHTS = (1e-8, 1e-3, 0.05, 0.07, 0.1, 1.0, 3.0, 1e3, 1e5)
 
 
 def full_circle_sups(u, rhos, samples):
@@ -594,6 +596,57 @@ class TestScanSups:
         sups, skipped = scan_sups(u, rhos, samples)
         assert not skipped
         np.testing.assert_allclose(sups, full_circle_sups(u, rhos, samples), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("samples", (2048, 2047, 2046, 101, 7, 4))
+    @pytest.mark.parametrize("fn", [
+        *TEST_FUNCTIONS.values(),
+        *(make_rational(s, k) for s in PEAK_POLE_HEIGHTS for k in (1, 2)),
+    ], ids=[*TEST_FUNCTIONS, *(f"rational-{s:g}-{k}" for s in PEAK_POLE_HEIGHTS for k in (1, 2))])
+    def test_declared_peak_matches_every_angle(self, fn, samples):
+        # the wrapper has no peak_angle, so it takes the half-ellipse path;
+        # radii near 1 and across the whole admissible range (exp up to 400)
+        hi = fn.rho_sup or 400.0
+        rhos = np.concatenate([rho_scan_grid(1.0, min(hi, RHO_SUP), 100),
+                               rho_scan_grid(1.0, hi, 100)])
+        got = scan_sups(fn.u, rhos, samples)
+        want = scan_sups(lambda z: fn.u(z), rhos, samples)
+        np.testing.assert_array_equal(got[0], want[0])
+        assert got[1] == want[1]
+
+    @pytest.mark.parametrize("samples", (2048, 2047, 7, 4))
+    def test_peak_at_the_last_angle(self, samples):
+        # theta* = pi: for odd counts its upper neighbour lies past samples//2
+        def u(z):
+            return EXP_LEFT(z)
+
+        u.peak_angle = math.pi
+        rhos = rho_scan_grid(1.0, 40.0, 50)
+        np.testing.assert_array_equal(scan_sups(u, rhos, samples)[0],
+                                      scan_sups(EXP_LEFT, rhos, samples)[0])
+
+    @pytest.mark.parametrize("peak", (-0.1, 4.0, math.nan, math.inf))
+    def test_peak_outside_half_turn_rejected(self, peak):
+        def u(z):
+            return RUNGE(z)
+
+        u.peak_angle = peak
+        with pytest.raises(ValueError, match="peak_angle"):
+            scan_sups(u, [1.5], 16)
+
+    def test_infinite_peak_marks_row(self):
+        rhos = rho_scan_grid(1.0, 3.0, 40)
+        _, z = ellipse_points(float(rhos[7]))
+        pole = complex(z[0])
+
+        def u(zz):
+            return 1.0 / np.abs(zz - pole)
+
+        u.peak_angle = 0.0
+        with np.errstate(divide="ignore"):
+            sups, skipped = scan_sups(u, rhos, 16)
+        assert skipped
+        assert np.isnan(sups[7])
+        assert np.all(np.isfinite(np.delete(sups, 7)))
 
     def test_infinite_sample_marks_row(self):
         rhos = rho_scan_grid(1.0, 3.0, 40)

@@ -139,10 +139,25 @@ class TestFunctions:
     @pytest.mark.parametrize("fn", [*ex.TEST_FUNCTIONS.values(), ex.make_rational(0.07)],
                              ids=["runge1", "runge2", "exp", "rational-0.07"])
     def test_modulus_is_conjugate_symmetric(self, fn):
-        # bounds.scan_sups evaluates half of each ellipse and relies on this
+        # bounds.scan_sups relies on this: without a peak_angle it evaluates
+        # the upper half of each ellipse, and a declared peak_angle names the
+        # peak on [0, pi] only
         for rho in (1.01, 1.5, 2.3, 4.0):
             _, z = ellipse_points(rho)
             assert np.array_equal(np.abs(fn.u(np.conj(z))), np.abs(fn.u(z)))
+
+    @pytest.mark.parametrize("fn", [*ex.TEST_FUNCTIONS.values(), ex.make_rational(0.07)],
+                             ids=["runge1", "runge2", "exp", "rational-0.07"])
+    def test_declared_peak_is_the_peak(self, fn):
+        # scan_sups evaluates u only next to peak_angle and trusts it
+        theta = np.linspace(0.0, math.pi, 20001)
+        step = theta[1]
+        radii = [rho for rho in (1.01, 1.5, 2.3, 4.0) if fn.rho_sup is None or rho < fn.rho_sup]
+        assert radii
+        for rho in radii:
+            a, b = 0.5 * (rho + 1.0 / rho), 0.5 * (rho - 1.0 / rho)
+            mod = np.abs(fn.u(a * np.cos(theta) + 1j * b * np.sin(theta)))
+            assert abs(theta[np.argmax(mod)] - fn.u.peak_angle) <= step, rho
 
     def test_entire_function_has_no_poles(self):
         fn = ex.TEST_FUNCTIONS["exp"]

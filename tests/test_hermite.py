@@ -6,6 +6,7 @@ import pytest
 
 import mp_oracle
 from gegenspec import experiments as ex
+from gegenspec import operators
 from gegenspec.nodes import GAUSS, GAUSS_LOBATTO, gauss_lobatto_nodes, gauss_nodes
 from gegenspec.operators import (
     GRID_SIZE,
@@ -149,3 +150,33 @@ def test_real_pole_matches_double(pole):
     want = -u(ns.nodes) ** 2 - differentiate_at_nodes(ns, u(ns.nodes))
     got = hermite_diff_error(ns, u, poles)
     assert np.max(np.abs(got - want)) <= RTOL * np.max(np.abs(want))
+
+
+def whole_matrix_product(x, nodes, radius=None, at_nodes=False):
+    """operators._product with the whole factor matrix formed first and its
+    rows then multiplied _BLOCK at a time: the oracle for the block-at-a-time
+    form."""
+    factors = x[None, :] - nodes[:, None]
+    if at_nodes:
+        np.fill_diagonal(factors, 1.0)
+    if radius is not None:
+        factors = factors / radius
+    m, expo = np.ones(x.shape, dtype=factors.dtype), 0
+    for start in range(0, len(factors), operators._BLOCK):
+        m, expo = operators._rescale(
+            m * np.prod(factors[start:start + operators._BLOCK], axis=0), expo)
+    return m, expo
+
+
+@pytest.mark.parametrize("family", (GAUSS, GAUSS_LOBATTO))
+@pytest.mark.parametrize("n", (1, 31, 32, 33, 200))
+def test_block_product_matches_whole_matrix(monkeypatch, family, n):
+    # omega(x_p) on the grid, omega'(x_j) at the nodes and omega(z) / R^(n+1)
+    # on the contour, each formed one block of _BLOCK factors at a time
+    fn = ex.TEST_FUNCTIONS["runge2"]
+    ns = BUILD[family](1.5, n)
+    got = (hermite_interp_error(ns, fn.u, fn.poles, GRID), hermite_diff_error(ns, fn.u, fn.poles))
+    monkeypatch.setattr(operators, "_product", whole_matrix_product)
+    want = (hermite_interp_error(ns, fn.u, fn.poles, GRID), hermite_diff_error(ns, fn.u, fn.poles))
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)

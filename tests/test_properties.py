@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gegenspec.bounds import remainder_bound, remainder_exact
+from gegenspec.bounds import remainder_bound, remainder_exact, rho_scan_grid, scan_sups
 from gegenspec.experiments import FLOOR_MULTIPLE, KINDS, certify, make_rational, scan_function
 from gegenspec.nodes import (
     GAUSS,
@@ -161,3 +161,22 @@ def test_hermite_errors_match_double_within_its_floor(lam, n, s, family, order):
     floor = eps * np.max(np.abs(d) @ np.abs(vals))
     exact = np.max(np.abs(hermite_diff_error(ns, fn.u, fn.poles)))
     assert abs(exact - double) <= FLOOR_MULTIPLE * floor + 1e-10 * exact
+
+
+# make_rational declares peak_angle = pi/2, so scan_sups evaluates u at one
+# or two angles per radius; the wrapper has no peak_angle and takes the
+# half-ellipse path.  The sups must agree bit for bit over pole heights from
+# 1e-10 to 1e7 and radii from just above 1 up to the pole's own ellipse.
+@SETTINGS
+@given(log_s=st.floats(min_value=-10.0, max_value=7.0), order=st.sampled_from((1, 2)),
+       samples=st.integers(min_value=4, max_value=5000),
+       shrink=st.floats(min_value=0.0, max_value=6.0))
+def test_declared_peak_gives_the_half_ellipse_sups(log_s, order, samples, shrink):
+    fn = make_rational(10.0 ** log_s, order)
+    hi = 1.0 + (fn.rho_sup - 1.0) * 10.0 ** -shrink
+    assume(hi > 1.0)
+    rhos = rho_scan_grid(1.0, hi, 60)
+    assume(np.all(rhos > 1.0))
+    got = scan_sups(fn.u, rhos, samples)
+    want = scan_sups(lambda z: fn.u(z), rhos, samples)
+    assert np.array_equal(got[0], want[0], equal_nan=True) and got[1] == want[1]
