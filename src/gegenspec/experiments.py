@@ -4,13 +4,15 @@ Measured errors escalate whenever the double path returns a value below
 1e-8 or below FLOOR_MULTIPLE times its own rounding floor, eps times the
 largest sum of |term| that forms one computed value (the products D_jk u(x_k)
 of a derivative, l_j(x) u(x_j) of an interpolant, w_j u(x_j) of a weighted
-sum): node-differencing noise grows like n^2 * eps, so beyond n ~ 45 a
-double measurement would sit orders of magnitude above the true error while
-the certified bound keeps shrinking.  Interpolation and differentiation errors
-escalate to Hermite's formula in double precision (operators.hermite_*_error),
-which has no such floor; quadrature errors escalate to 35-digit mpmath
-(highprec).  The expansion error needs no escalation:
-operators.exact_expansion_error has no floor.
+sum, together with the exact integral it is compared with): node-differencing
+noise grows like n^2 * eps, so beyond n ~ 45 a double measurement would sit
+orders of magnitude above the true error while the certified bound keeps
+shrinking.  Interpolation and differentiation errors escalate to Hermite's
+formula in double precision (operators.hermite_*_error), which has no such
+floor; quadrature errors, measured against the exact integral of w u
+(operators.weighted_integral), escalate to 35-digit mpmath (highprec).  The
+expansion error needs no escalation: operators.exact_expansion_error has no
+floor.
 
 highprec, and with it mpmath, is imported at the first quadrature
 escalation; the study functions take mpmath's exp on mpmath scalars without
@@ -41,7 +43,6 @@ from .nodes import (
     GAUSS,
     GAUSS_LOBATTO,
     _lagrange_matrix,
-    closed_form_gauss_rule,
     gauss_lobatto_nodes,
     gauss_nodes,
 )
@@ -51,6 +52,7 @@ from .operators import (
     exact_expansion_error,
     hermite_diff_error,
     hermite_interp_error,
+    weighted_integral,
 )
 from .special import GegenbauerParam, as_param
 
@@ -360,21 +362,17 @@ def measure_interp_error(param, n, family, fn: TestFunction):
 def measure_quad_error(param, n, family, fn: TestFunction):
     """|weighted integral of (u - interpolant)|; escalates to mpmath.
 
-    The reference integral takes closed_form_gauss_rule with
-    max(4(n+1), 128) points; it agrees with gauss_rule's rule of that size to
-    rounding.  The count leaves the reference within 1e-6 relative of the
-    measured error by under 3x at a pole height of 0.05 (3.7e-7 at lam = 0.5,
-    Gauss n = 48, against a 3001-point rule).  The error escalates below
-    the floor of sum |w_j u(x_j)| over both rules.
+    The error is |I - sum_j w_j u(x_j)|, with the exact integral I of w u
+    from Cauchy's formula (operators.weighted_integral), so it carries only
+    the rounding of the rule's sum.  It escalates below the floor of
+    |I| + sum_j |w_j u(x_j)|.
     """
     p = as_param(param)
     ns = _node_set(p, n, family)
-    ref_nodes, ref_weights = closed_form_gauss_rule(p, max(4 * (n + 1), 128))
-    ref_vals, vals = fn.u(ref_nodes), fn.u(ns.nodes)
-    ref = float(np.dot(ref_weights, ref_vals))
+    vals = fn.u(ns.nodes)
+    ref = weighted_integral(p, fn.u, fn.poles)
     err = abs(ref - float(np.dot(ns.quad_weights, vals)))
-    abs_sum = float(np.abs(ref_weights) @ np.abs(ref_vals)
-                    + np.abs(ns.quad_weights) @ np.abs(vals))
+    abs_sum = abs(ref) + float(np.abs(ns.quad_weights) @ np.abs(vals))
 
     def exact():
         from . import highprec

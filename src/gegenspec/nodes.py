@@ -21,8 +21,9 @@ x_{n-j} = -x_j and w_{n-j} = w_j exactly.
   and n up to 1000 (lam = 3.2 up to n = 4000), with the nodes within
   2.3e-16 of gauss_rule's.  For lam < 0 the two end weights close the total
   mass, since their nodes crowd +-1 too closely for any formula at the
-  rounded node.  The reference rule of the float64 quadrature measurement
-  is its only caller.
+  rounded node.  No library path calls it yet: the quadrature measurement
+  compares the rule with the exact integral (operators.weighted_integral),
+  and gauss_rule keeps its bits for the stored references.
 
 gauss_rule returns the bare (nodes, weights) rule, so no barycentric weights
 are built that nobody reads.  Lobatto weights integrate the Lagrange basis

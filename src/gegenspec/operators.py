@@ -3,9 +3,10 @@
 These are the approximation operators whose maximum-norm errors the bounds
 module certifies.  The exact errors of a function with known poles come from
 Cauchy's formula in double precision: Hermite's contour formula for
-interpolation and differentiation (hermite_interp_error, hermite_diff_error)
-and the second-kind-function kernel for the truncated expansion
-(exact_expansion_error).
+interpolation and differentiation (hermite_interp_error, hermite_diff_error),
+the second-kind-function kernel for the truncated expansion
+(exact_expansion_error) and Q_0 for the weighted integral that the
+quadrature error is measured against (weighted_integral).
 """
 
 import math
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nodes import NodeSet, _lagrange_matrix, gauss_nodes
-from .poly import GRID_SIZE, recurrence_table, second_kind_sweep
+from .poly import GRID_SIZE, recurrence_table, second_kind_q0, second_kind_sweep
 from .special import as_param, h_norm
 
 __all__ = [
@@ -28,6 +29,7 @@ __all__ = [
     "exact_expansion_error",
     "hermite_interp_error",
     "hermite_diff_error",
+    "weighted_integral",
 ]
 
 
@@ -151,13 +153,11 @@ def _product(x, nodes, radius=None, at_nodes=False):
 
 
 def _contour(u, poles, n: int, count: int):
-    """(z, u(z), powers) on the circle |z| = R of Cauchy's formula for the
-    exact errors: count trapezoid points, R = max(n + 1, 2 max|a|, 2) over
-    the poles a (n + 1 is the saddle radius for entire u), and a ValueError
-    where u is not finite or a pole has order above 2, the residues both
-    kernels take.  Callers sum their kernels as series in x / z: row k of
-    powers is z^-k for k < ceil(64 ln 2 / ln R), so for |x| <= 1 the series
-    reaches 2^-64.
+    """(z, u(z)) on the circle |z| = R of Cauchy's formula for the exact
+    errors: count trapezoid points from z[0] = R, R = max(n + 1, 2 max|a|, 2)
+    over the poles a (n + 1 is the saddle radius for entire u), and a
+    ValueError where u is not finite or a pole has order above 2, the
+    residues every kernel takes.
     """
     if any(len(cs) > 2 for _, cs in poles):
         raise ValueError("poles of order above 2 are not supported")
@@ -166,8 +166,15 @@ def _contour(u, poles, n: int, count: int):
     vals = u(z)
     if not np.all(np.isfinite(vals)):
         raise ValueError(f"u is not finite on the contour |z| = {radius:g}")
-    terms = math.ceil(64.0 * math.log(2.0) / math.log(radius))
-    return z, vals, z[None, :] ** -np.arange(terms)[:, None]
+    return z, vals
+
+
+def _inverse_powers(z):
+    """Row k is z^-k on _contour's circle for k < ceil(64 ln 2 / ln R): the
+    interp, diff and expansion kernels are summed as series in x / z, which
+    for |x| <= 1 reach 2^-64."""
+    terms = math.ceil(64.0 * math.log(2.0) / math.log(z[0].real))
+    return z[None, :] ** -np.arange(terms)[:, None]
 
 
 def exact_expansion_error(param, u, poles, n: int, x) -> np.ndarray:
@@ -191,7 +198,8 @@ def exact_expansion_error(param, u, poles, n: int, x) -> np.ndarray:
     if not np.all(np.abs(xs) <= 1.0):
         raise ValueError("x must lie in [-1, 1]")
     c_n, c_next = recurrence_table(p, n + 1, xs)[n:]
-    z, vals, powers = _contour(u, poles, n, 4 * (n + 1) + 64)
+    z, vals = _contour(u, poles, n, 4 * (n + 1) + 64)
+    powers = _inverse_powers(z)
     # at the poles, then on the contour: A F_n = f_n 2^expo, dlog = F_n' / F_n
     # and rho = F_{n+1} / F_n
     zs = np.concatenate([[a for a, _ in poles], z]).astype(complex)
@@ -243,7 +251,8 @@ def _hermite(nodes, x, omega, u, poles):
     its relative accuracy far below the rounding floor of the operators.
     """
     n = len(nodes) - 1
-    z, vals, powers = _contour(u, poles, n, max(2 * (n + 1), 64) + 32)
+    z, vals = _contour(u, poles, n, max(2 * (n + 1), 64) + 32)
+    powers = _inverse_powers(z)
     m, e = omega
     # log(omega(x_p) / m_p); -inf on a node, where the error is an exact 0
     log_n = np.where(m == 0.0, -np.inf, e * math.log(2.0))
@@ -287,3 +296,23 @@ def hermite_diff_error(node_set: NodeSet, u, poles) -> np.ndarray:
     """
     xs = node_set.nodes
     return _hermite(xs, xs, _product(xs, xs, at_nodes=True), u, poles)
+
+
+def weighted_integral(param, u, poles) -> float:
+    """The integral of w(y) u(y) over [-1, 1], from Cauchy's formula with the
+    kernel Q_0(z) = integral of w(y) / (z - y) dy (poly.second_kind_q0).
+
+    poles as in hermite_interp_error.  The integral is the trapezoid mean of
+    u(z) Q_0(z) z over _contour's circle at n = 0, R = max(2, 2 max|a|),
+    minus the residues c_1 Q_0(a) + c_2 Q_0'(a) of u Q_0 at the poles a.
+    The cut [-1, 1] and the poles lie within R / 2, so 64 points alias at
+    about 2^-64.  For rational u, O(1/z) at infinity, the circle term
+    vanishes; for entire u it is the whole value.
+    """
+    z, vals = _contour(u, poles, 0, 64)
+    k = len(poles)
+    q0, dq0 = second_kind_q0(param, np.concatenate([[a for a, _ in poles], z]))
+    total = np.mean(vals * q0[k:] * z)
+    for (_, cs), q, dq in zip(poles, q0, dq0):
+        total -= cs[0] * q + (cs[1] * dq if len(cs) == 2 else 0.0)
+    return float(total.real)

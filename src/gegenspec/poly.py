@@ -14,7 +14,8 @@ Two routes for C_n are provided and cross-checked by the test suite:
 
 Q_l solves the same recurrence for l >= 1 as its minimal solution, so
 second_kind_sweep takes it from one backward (Miller) sweep of the ratios
-Q_l / Q_{l-1} (Gautschi, SIAM Rev. 9, 1967).
+Q_l / Q_{l-1} (Gautschi, SIAM Rev. 9, 1967).  second_kind_q0 gives Q_0 and
+Q_0' alone in closed form, a hypergeometric series in w.
 """
 
 import math
@@ -30,11 +31,13 @@ __all__ = [
     "recurrence_table",
     "eval_with_derivative",
     "normalized_on_ellipse",
+    "second_kind_q0",
     "second_kind_sweep",
     "second_kind_table",
 ]
 
-# second_kind_table's Miller start: digits resolved, and the cap in steps beyond n
+# second_kind_table's Miller start: digits resolved, and the cap in steps beyond n,
+# which also caps the terms of second_kind_q0's series
 MILLER_DIGITS = 20
 MILLER_MAX_STEPS = 100_000
 
@@ -199,6 +202,83 @@ def second_kind_sweep(param, start: int, z):
     den = 2.0 * lam * z - r
     f0 = 2.0 * lam * total_mass(lam) / den
     yield 0, f0, f0 * (dr - 2.0 * lam) / den
+
+
+# terms per block of second_kind_q0's series
+_SERIES_BLOCK = 64
+
+
+def _series(a, b, x):
+    """(F, x F') at the complex points x, |x| < 1, for the Gauss series
+    F(x) = sum_k c_k x^k, c_k = (a)_k / (b)_k with b > 0, summed
+    _SERIES_BLOCK terms at a time, each term the running product of the
+    steps (a + k) / (b + k) x.  That coefficient ratio is monotone in k and
+    tends to 1, so from any k on the terms (2k + 2) |c_k| |x|^k, which bound
+    those of F and x F' together, shrink by at most
+    m = max(1, |(a + k) / (b + k)|) (2k + 4) / (2k + 2) |x| each; the sum
+    stops once their tail, at most the next one over 1 - m, is below 1e-17
+    of the sum of |c_k| |x|^k so far, |x| the largest over the points.
+    ValueError beyond MILLER_MAX_STEPS terms.
+    """
+    xmag = float(np.max(np.abs(x)))
+    f, xdf = np.zeros_like(x), np.zeros_like(x)
+    term, bound, acc = np.ones_like(x), 1.0, 0.0       # c_k x^k, |c_k| xmag^k
+    for start in range(0, MILLER_MAX_STEPS, _SERIES_BLOCK):
+        ks = np.arange(start, start + _SERIES_BLOCK, dtype=float)
+        ratios = (a + ks) / (b + ks)
+        terms = np.empty((_SERIES_BLOCK, len(x)), dtype=complex)
+        terms[0], terms[1:] = term, ratios[:-1, None] * x
+        np.cumprod(terms, axis=0, out=terms)
+        f += terms.sum(axis=0)
+        xdf += ks @ terms
+        bounds = np.cumprod(np.concatenate([[bound], np.abs(ratios[:-1]) * xmag]))
+        acc += float(np.sum(bounds))
+        term, bound = terms[-1] * ratios[-1] * x, bounds[-1] * abs(ratios[-1]) * xmag
+        k = start + _SERIES_BLOCK
+        shrink = max(1.0, abs((a + k) / (b + k))) * (2 * k + 4) / (2 * k + 2) * xmag
+        if shrink < 1.0 and (2 * k + 2) * bound <= 1e-17 * acc * (1.0 - shrink):
+            return f, xdf
+    raise ValueError(f"z is too close to [-1, 1]: Q_0 needs more than "
+                     f"{MILLER_MAX_STEPS} terms")
+
+
+def second_kind_q0(param, z):
+    """(Q_0, Q_0') at the complex points z off [-1, 1], in closed form:
+    Q_0(z) = integral of w(y) / (z - y) dy.
+
+    With z = (w + 1/w) / 2, |w| > 1 and q = w^-2,
+        Q_0(z) = (2 h_0 / w) S,  S = sum_k t_k q^k,  t_k = (1 - lam)_k / (1 + lam)_k,
+    a quadratic transformation of h_0 z^-1 2F1(1/2, 1; lam + 1; z^-2), and
+    Q_0' = -4 h_0 D / (w^2 - 1), D = (1 + 2 q d/dq) S = sum_k (2k + 1) t_k q^k,
+    from dQ_0/dw and dw/dz = 2 / (1 - q).  Where |1 - q| > 1 S takes Pfaff's
+    form (1 - q)^-1 sum_k (2 lam)_k / (1 + lam)_k x^k in x = q / (q - 1), which
+    is smaller than q: at z = is it is about 1/2 for every s, where the
+    terms of the q series alternate.  Near the cut |q| tends to 1 and |x| to
+    1 / (2 sin theta) at Re z = cos theta, so one of them stays below 1
+    except near Re z = +-sqrt(3)/2 and beyond; _series sums either and raises
+    ValueError, more than MILLER_MAX_STEPS terms, for z within about 1e-4 of
+    the cut where |Re z| >= sqrt(3)/2 (1e-8 beyond +-1 on the real axis).
+    """
+    lam = as_param(param).lam
+    pts, scalar = _as_points(z)
+    pts = pts.astype(complex)
+    w = pts + np.sqrt(pts - 1.0) * np.sqrt(pts + 1.0)
+    if not np.all(np.abs(w) > 1.0):
+        raise ValueError("second_kind_q0 requires z off [-1, 1]")
+    q = w ** -2.0
+    s, d = np.empty_like(q), np.empty_like(q)
+    pfaff = np.abs(1.0 - q) > 1.0
+    if np.any(~pfaff):
+        qs = q[~pfaff]
+        f, xdf = _series(1.0 - lam, 1.0 + lam, qs)
+        s[~pfaff], d[~pfaff] = f, f + 2.0 * xdf
+    if np.any(pfaff):
+        qs = q[pfaff]
+        f, xdf = _series(2.0 * lam, 1.0 + lam, qs / (qs - 1.0))
+        s[pfaff], d[pfaff] = f / (1.0 - qs), ((1.0 + qs) * f + 2.0 * xdf) / (1.0 - qs) ** 2
+    h0 = total_mass(lam)
+    q0, dq0 = 2.0 * h0 * s / w, -4.0 * h0 * d / (w * w - 1.0)
+    return (q0[0], dq0[0]) if scalar else (q0, dq0)
 
 
 def second_kind_table(param, n: int, z):

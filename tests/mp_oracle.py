@@ -14,6 +14,9 @@ the barycentric interpolant inside mp.quad.  The library's versions
 (mirrored refinement, integer-mantissa kernels) must agree with them bit
 for bit.
 
+weighted_integral_mp and quad_rule_error_mp check the exact weighted
+integral of the quadrature measurement by mp.quad, split where u peaks.
+
 gauss_node_weight_mp checks the closed-form Gauss weights against the
 Christoffel-number formula at 50 digits; it uses nothing from the library.
 """
@@ -122,6 +125,28 @@ def quad_error_mp_plain(lam: float, n: int, family: str, u) -> float:
             [-1, 0, 1],
         )
         return float(abs(err))
+
+
+def weighted_integral_mp(lam: float, u, splits=(), dps: int = 30):
+    """The integral of (1 - y^2)^(lam - 1/2) u(y) over [-1, 1] by mp.quad at
+    dps digits, split at 0 and at +-s for each s in splits inside (0, 1):
+    the peaks of 1/(y^2 + s^2)^order."""
+    with mp.workdps(dps):
+        cuts = sorted({mp.mpf(0), *(sign * mp.mpf(s) for s in splits if 0 < s < 1
+                                    for sign in (-1, 1))})
+        expo = mp.mpf(lam) - mp.mpf(1) / 2
+        return mp.quad(lambda y: (1 - y * y) ** expo * u(y), [-1, *cuts, 1])
+
+
+def quad_rule_error_mp(lam: float, n: int, family: str, u, splits=(), dps: int = 30) -> float:
+    """|integral of w u - sum_j w_j u(x_j)| at dps digits, the rule being the
+    library's float64 nodes and weights taken as exact."""
+    build = _nodes.gauss_nodes if family == _nodes.GAUSS else _nodes.gauss_lobatto_nodes
+    ns = build(lam, n)
+    with mp.workdps(dps):
+        rule = mp.fsum(mp.mpf(float(wj)) * u(mp.mpf(float(xj)))
+                       for xj, wj in zip(ns.nodes, ns.quad_weights))
+        return float(abs(weighted_integral_mp(lam, u, splits, dps) - rule))
 
 
 def expansion_error_mp_plain(lam: float, u, n: int, points, dps: int = DPS) -> list:

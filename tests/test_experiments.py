@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import mp_oracle
 from gegenspec import experiments as ex
 from gegenspec import highprec
 from gegenspec.bounds import (
@@ -209,8 +210,8 @@ class TestMeasurement:
                                          (64, 5.392740385427109e-26)])
     def test_quad_escalates_near_its_rounding_floor(self, n, exact):
         # at lam = -0.4999999999 the mass h_0 is 1e10, so the float64 pass
-        # returns 2^-20, the rounding of its reference integral, at every n:
-        # above MP_ESCALATE_BELOW, yet far below 64 eps sum |w_j u(x_j)|
+        # returns 2^-20, one rounding of the integral (about 5e9), at every
+        # n: above MP_ESCALATE_BELOW, yet far below 64 eps (|I| + sum |w_j u(x_j)|)
         err, backend = ex.measure_quad_error(
             -0.4999999999, n, GAUSS, ex.TEST_FUNCTIONS["runge1"])
         assert backend == "mpmath"
@@ -228,6 +229,27 @@ class TestMeasurement:
             8.0, 64, family, ex.TEST_FUNCTIONS["runge1"])
         assert backend == "hermite"
         assert err == pytest.approx(exact, rel=1e-6)
+
+    # the integral is exact, so the float64 pass is the error of the rule
+    # itself even where the rule misses the peak of u; a Gauss reference rule
+    # of max(4(n + 1), 128) points read 3.3% low at s = 0.01 and 21% at 0.001
+    @pytest.mark.parametrize("s", (0.01, 0.001, 1e-6))
+    @pytest.mark.parametrize("lam,n", ((0.5, 48), (3.2, 96)))
+    def test_quad_error_is_exact_at_small_pole_heights(self, s, lam, n):
+        fn = ex.make_rational(s)
+        got, backend = ex.measure_quad_error(lam, n, GAUSS, fn)
+        assert backend == "float64"
+        want = mp_oracle.quad_rule_error_mp(lam, n, GAUSS, fn.u, (s,))
+        assert abs(got - want) <= 1e-10 * want
+
+    def test_quad_pole_too_close_to_the_interval_raises(self):
+        # poles 1e-6 off the cut at 0.95: neither series of Q_0 converges
+        a = 0.95 + 1e-6j
+        res = 1.0 / (a - a.conjugate())
+        fn = ex.TestFunction("near-cut", lambda x: 1.0 / ((x - a) * (x - a.conjugate())),
+                             None, ((a, (res,)), (a.conjugate(), (-res,))))
+        with pytest.raises(ValueError, match="too close"):
+            ex.measure_quad_error(0.5, 48, GAUSS, fn)
 
     def test_quad_measurement_legendre(self):
         fn = ex.TEST_FUNCTIONS["runge1"]

@@ -2,7 +2,8 @@
 
 `import gegenspec` loads numpy only.  scipy.linalg loads at the first
 eigensolve (nodes.gauss_rule / closed_form_gauss_rule), mpmath and highprec at
-the first 35-digit quadrature escalation.  Each case runs in a fresh
+the first 35-digit quadrature escalation; a quadrature measurement that does
+not escalate loads neither.  Each case runs in a fresh
 interpreter and reports which of the three modules it left loaded.
 """
 
@@ -83,6 +84,16 @@ def test_config_errors_load_neither_library(argv):
     code, _, loaded = run_cli(argv)
     assert code == 2
     assert loaded == set()
+
+
+def test_quad_measurement_without_escalation_loads_scipy_linalg_only():
+    code, out, loaded = run_fresh(
+        "from gegenspec.experiments import make_rational, measure_quad_error\n"
+        "print(measure_quad_error(0.5, 48, 'gauss', make_rational(0.1))[1])\n"
+    )
+    assert code == 0
+    assert out.strip() == "float64"
+    assert loaded == {"scipy.linalg"}
 
 
 def test_quad_escalation_loads_mpmath():

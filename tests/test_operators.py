@@ -17,6 +17,7 @@ from gegenspec.operators import (
     hermite_interp_error,
     interpolate,
     truncated_expansion_error,
+    weighted_integral,
 )
 from gegenspec.poly import eval_recurrence
 
@@ -248,3 +249,26 @@ def test_u_not_finite_on_contour(error):
 def test_pole_of_order_three_rejected(error):
     with pytest.raises(ValueError, match="order above 2"):
         error(lambda z: 1.0 / (z - 2j) ** 3, ((2j, (0.0, 0.0, 1.0)),))
+
+
+class TestWeightedIntegral:
+    """The integral of w u from Cauchy's formula with Q_0, against mp.quad.
+    lam < 0 is left to the Q_0 tests: mp.quad does not resolve the endpoint
+    singularity of the weight there."""
+
+    FUNCTIONS = [(TEST_FUNCTIONS["exp"], ()), (TEST_FUNCTIONS["runge1"], ()),
+                 (TEST_FUNCTIONS["runge2"], ()), (make_rational(0.05), (0.05,)),
+                 (make_rational(0.05, 2), (0.05,)), (make_rational(3.0), ())]
+
+    @pytest.mark.parametrize("lam", (0.5, 1.5, 3.2, 7.7))
+    @pytest.mark.parametrize("fn,splits", FUNCTIONS, ids=lambda v: getattr(v, "name", None))
+    def test_matches_mp_oracle(self, fn, splits, lam):
+        got = weighted_integral(lam, fn.u, fn.poles)
+        want = float(mp_oracle.weighted_integral_mp(lam, fn.u, splits))
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+    def test_legendre_closed_form(self):
+        # lam = 1/2: the integral of 1/(1 + y^2) is pi/2, of e^y 2 sinh 1
+        assert weighted_integral(0.5, RUNGE, TEST_FUNCTIONS["runge1"].poles) == \
+            pytest.approx(math.pi / 2, rel=1e-15)
+        assert weighted_integral(0.5, np.exp, ()) == pytest.approx(2 * math.sinh(1.0), rel=1e-15)

@@ -10,6 +10,7 @@ from gegenspec.poly import (
     calibrated_sup_scale,
     normalized_on_ellipse,
     recurrence_table,
+    second_kind_q0,
     second_kind_sweep,
     second_kind_table,
 )
@@ -343,6 +344,56 @@ class TestSecondKind:
     def test_points_on_or_near_the_interval_rejected(self, z):
         with pytest.raises(ValueError, match="too close"):
             second_kind_table(0.5, 4, z)
+
+
+class TestSecondKindQ0:
+    """Q_0 and Q_0' in closed form: the w-series and its Pfaff form."""
+
+    # z = +-is on both sides of the cut, s from 1e-3 to 10, and |z| = 2
+    POINTS = np.concatenate([1j * np.logspace(-3, 1, 13), -1j * np.logspace(-3, 1, 13),
+                             2.0 * np.exp(2j * np.pi * np.arange(16) / 16)])
+
+    # lam = 1e-3 is left out: the sweep forms b_2 = (2 + 2 lam) - 2, which
+    # leaves its Q_0' up to 7e-11 off there (the oracle test covers it).  The
+    # sweep's Q_0' is also 1.4e-12 off -2 / (z^2 - 1) at lam = 1/2, z = 1e-3 i,
+    # hence 3e-12; the oracle test holds Q_0' to 1e-12.
+    @pytest.mark.parametrize("lam", (-0.49, -0.3, 0.5, 1.0, 1.5, 3.2, 7.7))
+    def test_matches_the_miller_sweep(self, lam):
+        q, dq = second_kind_q0(lam, self.POINTS)
+        q_ref, dq_ref = second_kind_table(lam, 0, self.POINTS)
+        np.testing.assert_allclose(q, q_ref[0], rtol=1e-13)
+        np.testing.assert_allclose(dq, dq_ref[0], rtol=3e-12)
+
+    # both series: +-is and the circle take Pfaff's form, the points near
+    # +-1 and beyond sqrt(3)/2 near the cut the w-series
+    @pytest.mark.parametrize("lam", (-0.49, 1e-3, 0.5, 3.2, 7.7))
+    def test_matches_hypergeometric_oracle(self, lam):
+        zs = np.array([1e-3j, -0.05j, 1j, 2.0, -1.0 + 1.0j, 1.01, -1.2 + 0.01j,
+                       0.95 + 0.01j, 0.5 - 0.01j])
+        q, dq = second_kind_q0(lam, zs)
+        for k, z in enumerate(zs):
+            (q_ref,), (dq_ref,) = second_kind_mp(lam, 0, z, dps=30)
+            assert abs(q[k] - q_ref) <= 1e-13 * abs(q_ref), z
+            assert abs(dq[k] - dq_ref) <= 1e-12 * abs(dq_ref), z
+
+    def test_closed_forms(self):
+        zs = np.array([0.3j, 2.0, -1.5 + 0.2j, 1e-3j, 0.9 - 0.05j])
+        w = zs + np.sqrt(zs - 1.0) * np.sqrt(zs + 1.0)
+        q, _ = second_kind_q0(1.0, zs)
+        np.testing.assert_allclose(q, np.pi / w, rtol=1e-15)
+        q, dq = second_kind_q0(0.5, zs)
+        np.testing.assert_allclose(q, np.log((zs + 1.0) / (zs - 1.0)), rtol=1e-15)
+        np.testing.assert_allclose(dq, -2.0 / (zs * zs - 1.0), rtol=1e-15)
+
+    def test_scalar(self):
+        q, dq = second_kind_q0(0.5, 2.0)
+        assert q == pytest.approx(math.log(3.0), rel=1e-15)
+        assert dq == pytest.approx(-2.0 / 3.0, rel=1e-15)
+
+    @pytest.mark.parametrize("z", (0.5, -1.0, 0.95 + 1e-6j, 1.0 + 1e-10))
+    def test_points_on_or_near_the_interval_rejected(self, z):
+        with pytest.raises(ValueError, match="z"):
+            second_kind_q0(0.5, np.array([2.0, z]))
 
 
 class TestValueAtOne:
